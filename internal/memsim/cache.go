@@ -1,9 +1,6 @@
 package memsim
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Cache is a set-associative cache with true-LRU replacement. It stores only
 // cache-line numbers (tags); data always lives in the arena. A Cache is not
@@ -14,16 +11,14 @@ import (
 // Lookup/Insert calls — so the representation is chosen for the host's
 // memory system as much as for clarity:
 //
-//   - Each way is one packed uint64 word: the line tag in the low 32 bits
-//     (lineNumber+1, 0 = invalid) and the LRU use stamp in the high 32 bits.
-//     A set scan, a recency refresh and a victim selection all touch one
-//     contiguous word per way instead of two parallel arrays, halving the
-//     metadata footprint (the simulated L3's alone would otherwise be 3 MB)
-//     and the number of host cache lines dirtied per operation.
-//   - 32-bit use stamps wrap; before the stamp counter would overflow, the
-//     cache renormalizes by compacting all live stamps order-preservingly.
-//     LRU victim selection depends only on the relative order of stamps, so
-//     renormalization is invisible to the simulated results.
+//   - Each set is ways contiguous uint32 tags (lineNumber+1, 0 = empty)
+//     kept in recency order: most recently used first, empty ways always at
+//     the tail. A hit moves its tag to the front, an insert shifts the set
+//     down one way (the tail, if valid, is the LRU victim), and a scan stops
+//     at the first empty way. Recency order is the whole LRU state, so there
+//     are no use stamps to store, compare or renormalize, and re-touched
+//     lines — the common case — are found at way 0. A 16-way set is one
+//     64-byte host cache line.
 //   - The set-index computation avoids the hardware divide: power-of-two
 //     set counts use a mask and others (the Xeon L3 has 12288 sets) a
 //     Lemire fast-mod double multiply. Both produce exactly line % sets.
@@ -42,45 +37,18 @@ type Cache struct {
 	// fits in 32 bits (lines always do, per the address-space bound).
 	fastM uint64
 
-	// words[set*ways+way] = use<<32 | tag.
-	words []uint64
-	clock uint32
-
-	// memoTag/memoIdx memoize the ways that served the most recent hits,
-	// direct-mapped by the line's low bits: operators touch several fields
-	// of one node, and the stream prefetcher re-installs a sliding window of
-	// lines it filled one access earlier, so re-touching a just-used line is
-	// the common case and skips the set scan. Entries are validated against
-	// the backing word before use, so Insert/Invalidate/Reset can never
-	// serve a stale way.
-	memoTag [cacheMemoEntries]uint32
-	memoIdx [cacheMemoEntries]int32
-
-	// missLine/missClock/missVictim fuse the Lookup-miss-then-Insert pair
-	// every demand miss performs: the miss scan reads each way's whole
-	// packed word anyway, so it records the victim way it would pick, and
-	// the following Insert of the same line replays it without a second set
-	// scan. missClock guards the memo — any recency change in between
-	// (possible on the MSHR-hit path, where in-flight fills drain first)
-	// advances the clock and voids it.
-	missLine   uint64
-	missClock  uint32
-	missVictim int32
+	// tags[set*ways : (set+1)*ways] is one set, most recently used first.
+	tags []uint32
+	// dirty records that a tag was ever written since the last Reset, so
+	// resetting a cache that was never filled skips the memset.
+	dirty bool
 
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
-// cacheMemoEntries is the hit-way memo size (a power of two), covering the
-// stream prefetcher's fill window plus the demand line it trails.
-const cacheMemoEntries = 8
-
-// noLine is an impossible line number (tagOf rejects it), used to mark the
-// miss-victim memo as empty.
-const noLine = ^uint64(0)
-
-// tagOf converts a line number to its packed tag, enforcing the simulator's
+// tagOf converts a line number to its tag, enforcing the simulator's
 // address-space bound.
 func tagOf(line uint64) uint32 {
 	if line >= 1<<32-1 {
@@ -94,12 +62,11 @@ func tagOf(line uint64) uint32 {
 func NewCache(name string, cfg CacheConfig) *Cache {
 	sets := cfg.Sets()
 	c := &Cache{
-		name:     name,
-		latency:  cfg.LatencyCycles,
-		ways:     cfg.Ways,
-		sets:     uint64(sets),
-		words:    make([]uint64, sets*cfg.Ways),
-		missLine: noLine,
+		name:    name,
+		latency: cfg.LatencyCycles,
+		ways:    cfg.Ways,
+		sets:    uint64(sets),
+		tags:    make([]uint32, sets*cfg.Ways),
 	}
 	if c.sets&(c.sets-1) == 0 {
 		c.pow2 = true
@@ -130,90 +97,37 @@ func (c *Cache) setBase(line uint64) int {
 	return int(line%c.sets) * c.ways
 }
 
-// tick advances the use-stamp clock, renormalizing first if the next stamp
-// would overflow 32 bits.
-func (c *Cache) tick() uint32 {
-	if c.clock == ^uint32(0) {
-		c.renormalize()
-	}
-	c.clock++
-	return c.clock
+// set returns the ways of the set holding line, most recently used first.
+func (c *Cache) set(line uint64) []uint32 {
+	base := c.setBase(line)
+	return c.tags[base : base+c.ways : base+c.ways]
 }
 
-// renormalize compacts all live use stamps to 1..K preserving their order.
-// LRU decisions depend only on stamp order, so simulated behaviour is
-// unchanged; it runs at most once per 2^32 stamp assignments per cache.
-func (c *Cache) renormalize() {
-	type live struct {
-		idx int
-		use uint32
+// promote moves the tag at way w to the front of set, shifting the more
+// recently used ways down by one.
+func promote(set []uint32, w int, tag uint32) {
+	for ; w > 0; w-- {
+		set[w] = set[w-1]
 	}
-	entries := make([]live, 0, len(c.words))
-	for i, w := range c.words {
-		if uint32(w) != 0 {
-			entries = append(entries, live{i, uint32(w >> 32)})
-		}
-	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].use < entries[b].use })
-	for rank, e := range entries {
-		c.words[e.idx] = uint64(rank+1)<<32 | uint64(uint32(c.words[e.idx]))
-	}
-	c.clock = uint32(len(entries))
-	// The clock jumped backwards; a stale miss-victim memo could otherwise
-	// match a future clock value coincidentally.
-	c.missLine = noLine
+	set[0] = tag
 }
 
 // Lookup reports whether line is present and, if so, marks it most recently
-// used. Statistics are updated. The memo hit — the common case for
-// node-field re-touches and stream-filled lines — is checked first.
+// used. Statistics are updated.
 func (c *Cache) Lookup(line uint64) bool {
 	tag := tagOf(line)
-	if s := tag & (cacheMemoEntries - 1); c.memoTag[s] == tag {
-		if idx := c.memoIdx[s]; uint32(c.words[idx]) == tag {
-			c.words[idx] = uint64(c.tick())<<32 | uint64(tag)
+	set := c.set(line)
+	for w, t := range set {
+		if t == tag {
+			promote(set, w, tag)
 			c.hits++
 			return true
 		}
-	}
-	return c.lookupSlow(line, tag)
-}
-
-// lookupSlow scans the set for tag, refreshing recency on a hit. On a miss
-// it additionally records the victim way (same selection rule as
-// insertSlowAt) so that the fill this miss triggers can insert without
-// rescanning the set. The victim scan runs only after the hit scan failed —
-// hits stay one compare per way, and the miss's second pass re-reads words
-// the first pass just pulled into the host's cache.
-func (c *Cache) lookupSlow(line uint64, tag uint32) bool {
-	base := c.setBase(line)
-	words := c.words[base : base+c.ways]
-	for w := range words {
-		if uint32(words[w]) == tag {
-			words[w] = uint64(c.tick())<<32 | uint64(tag)
-			c.hits++
-			c.memoize(tag, base+w)
-			return true
+		if t == 0 {
+			break
 		}
 	}
 	c.misses++
-	invalid, lru := -1, 0
-	lruUse := ^uint32(0)
-	for w := range words {
-		word := words[w]
-		if uint32(word) == 0 {
-			invalid = w
-		} else if invalid < 0 && uint32(word>>32) < lruUse {
-			lru, lruUse = w, uint32(word>>32)
-		}
-	}
-	if invalid >= 0 {
-		c.missVictim = int32(base + invalid)
-	} else {
-		c.missVictim = int32(base + lru)
-	}
-	c.missLine = line
-	c.missClock = c.clock
 	return false
 }
 
@@ -221,94 +135,40 @@ func (c *Cache) lookupSlow(line uint64, tag uint32) bool {
 // statistics. It is used by prefetch filtering.
 func (c *Cache) Contains(line uint64) bool {
 	tag := tagOf(line)
-	if s := tag & (cacheMemoEntries - 1); c.memoTag[s] == tag {
-		if uint32(c.words[c.memoIdx[s]]) == tag {
+	for _, t := range c.set(line) {
+		if t == tag {
 			return true
 		}
-	}
-	return c.containsSlow(line, tag)
-}
-
-// containsSlow scans the set for tag without side effects.
-func (c *Cache) containsSlow(line uint64, tag uint32) bool {
-	base := c.setBase(line)
-	words := c.words[base : base+c.ways]
-	for w := range words {
-		if uint32(words[w]) == tag {
-			return true
+		if t == 0 {
+			break
 		}
 	}
 	return false
 }
 
-// Insert places line in the cache, evicting the least recently used way of
-// its set if necessary. It returns the evicted line and true if an eviction
-// of a valid line occurred. Inserting a line that is already present only
-// refreshes its recency — the memoized fast path for that case is what the
-// stream prefetcher hits three times per re-installed line.
+// Insert places line in the cache as most recently used, evicting the least
+// recently used way of its set if the set is full. It returns the evicted
+// line and true if an eviction of a valid line occurred. Inserting a line
+// that is already present only refreshes its recency.
 func (c *Cache) Insert(line uint64) (evicted uint64, ok bool) {
-	tag := tagOf(line)
-	if s := tag & (cacheMemoEntries - 1); c.memoTag[s] == tag {
-		if idx := c.memoIdx[s]; uint32(c.words[idx]) == tag {
-			c.words[idx] = uint64(c.tick())<<32 | uint64(tag)
-			return 0, false
-		}
-	}
-	if line == c.missLine && c.clock == c.missClock {
-		// Replay the victim recorded by the Lookup miss that caused this
-		// fill; nothing has touched the cache in between (the clock guard),
-		// so the rescan would reach the same way.
-		idx := c.missVictim
-		old := uint32(c.words[idx])
-		c.words[idx] = uint64(c.tick())<<32 | uint64(tag)
-		c.memoize(tag, int(idx))
-		c.missLine = noLine
-		if old != 0 {
-			c.evictions++
-			return uint64(old) - 1, true
-		}
-		return 0, false
-	}
-	return c.insertSlow(line, tag)
+	return c.insertInto(c.set(line), tagOf(line))
 }
 
-// insertSlow handles the non-memoized insert: refresh, fill an invalid way,
-// or evict the LRU way. One pass finds the present way, the last invalid
-// way and the LRU way together (victim selection is bit-compatible with the
-// original two-array scan: the last invalid way wins if any way is invalid,
-// otherwise the lowest use stamp; stamps are unique so ties cannot occur).
-func (c *Cache) insertSlow(line uint64, tag uint32) (evicted uint64, ok bool) {
-	return c.insertSlowAt(c.setBase(line), tag)
-}
-
-// insertSlowAt is insertSlow with the set base already resolved (InsertSpan
-// steps it incrementally).
-func (c *Cache) insertSlowAt(base int, tag uint32) (evicted uint64, ok bool) {
-	stamp := c.tick()
-
-	words := c.words[base : base+c.ways]
-	invalid, lru := -1, 0
-	lruUse := ^uint32(0)
-	for w := range words {
-		switch {
-		case uint32(words[w]) == tag:
-			words[w] = uint64(stamp)<<32 | uint64(tag)
-			c.memoize(tag, base+w)
-			return 0, false
-		case uint32(words[w]) == 0:
-			invalid = w
-		case invalid < 0 && uint32(words[w]>>32) < lruUse:
-			lru, lruUse = w, uint32(words[w]>>32)
-		}
+// insertInto is Insert with the set already resolved. One scan stops at the
+// tag itself (a refresh), the first empty way (a fill) or the tail (an
+// eviction when the tail holds another line); in all three cases the ways
+// above the stop shift down one and tag goes to the front.
+func (c *Cache) insertInto(set []uint32, tag uint32) (evicted uint64, ok bool) {
+	w := 0
+	for w < len(set)-1 && set[w] != tag && set[w] != 0 {
+		w++
 	}
-	if invalid >= 0 {
-		words[invalid] = uint64(stamp)<<32 | uint64(tag)
-		c.memoize(tag, base+invalid)
+	old := set[w]
+	promote(set, w, tag)
+	c.dirty = true
+	if old == tag || old == 0 {
 		return 0, false
 	}
-	old := uint32(words[lru])
-	words[lru] = uint64(stamp)<<32 | uint64(tag)
-	c.memoize(tag, base+lru)
 	c.evictions++
 	return uint64(old) - 1, true
 }
@@ -317,79 +177,45 @@ func (c *Cache) insertSlowAt(base int, tag uint32) (evicted uint64, ok bool) {
 // successive Insert calls would (same per-cache operation order, so the
 // resulting state and statistics are identical). The stream prefetcher
 // re-installs its fill window on every stream hit; batching lets the span
-// share the tag arithmetic and step the set index instead of recomputing it,
-// and consecutive tags occupy consecutive memo slots, so the common
-// all-refresh case runs without a single set scan.
+// share the tag arithmetic and step the set index instead of recomputing it.
 func (c *Cache) InsertSpan(first uint64, n int) {
 	tag := tagOf(first+uint64(n-1)) - uint32(n-1) // bound-check once
 	base := c.setBase(first)
-	limit := len(c.words)
 	for i := 0; i < n; i++ {
-		if s := tag & (cacheMemoEntries - 1); c.memoTag[s] == tag {
-			if idx := c.memoIdx[s]; uint32(c.words[idx]) == tag {
-				c.words[idx] = uint64(c.tick())<<32 | uint64(tag)
-				tag++
-				if base += c.ways; base == limit {
-					base = 0
-				}
-				continue
-			}
-		}
-		c.insertSlowAt(base, tag)
+		c.insertInto(c.tags[base:base+c.ways:base+c.ways], tag)
 		tag++
-		if base += c.ways; base == limit {
+		if base += c.ways; base == len(c.tags) {
 			base = 0
 		}
 	}
 }
 
-// memoize records the way that holds tag in the hit-way memo. A memo entry
-// is authoritative only because every reader re-validates it against the
-// backing word, so a memoized line that was since evicted or displaced
-// simply misses the memo.
-func (c *Cache) memoize(tag uint32, idx int) {
-	s := tag & (cacheMemoEntries - 1)
-	c.memoTag[s] = tag
-	c.memoIdx[s] = int32(idx)
-}
-
-// Invalidate removes line from the cache if present.
+// Invalidate removes line from the cache if present, closing the gap so the
+// empty way moves to the tail.
 func (c *Cache) Invalidate(line uint64) {
 	tag := tagOf(line)
-	base := c.setBase(line)
-	for w := 0; w < c.ways; w++ {
-		if uint32(c.words[base+w]) == tag {
-			c.words[base+w] = 0
-			// Invalidation does not tick the clock, so the miss-victim memo
-			// must be voided explicitly.
-			c.missLine = noLine
+	set := c.set(line)
+	for w, t := range set {
+		if t == tag {
+			copy(set[w:], set[w+1:])
+			set[len(set)-1] = 0
+			return
+		}
+		if t == 0 {
 			return
 		}
 	}
 }
 
-// Reset invalidates all lines and clears statistics. An untouched cache is
-// reset for free: every state-changing operation ticks the clock (inserts)
-// or bumps the hit/miss counters (lookups), so clock == hits == misses == 0
-// proves the tag array is still all-zero and the memset can be skipped —
+// Reset invalidates all lines and clears statistics. A cache that was never
+// filled since the last Reset is still all-empty, so the memset is skipped —
 // which is what makes recycling a socket model cheap for compute-only runs
 // that never reach this level.
 func (c *Cache) Reset() {
-	if c.clock == 0 && c.hits == 0 && c.misses == 0 {
-		c.missLine = noLine
-		return
+	if c.dirty {
+		clear(c.tags)
+		c.dirty = false
 	}
-	for i := range c.words {
-		c.words[i] = 0
-	}
-	c.clock = 0
-	for m := range c.memoTag {
-		c.memoTag[m] = 0
-		c.memoIdx[m] = 0
-	}
-	c.missLine = noLine
-	c.missClock = 0
-	c.missVictim = 0
 	c.hits = 0
 	c.misses = 0
 	c.evictions = 0

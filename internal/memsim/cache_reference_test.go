@@ -6,34 +6,88 @@ import (
 )
 
 // referenceCache is an obviously-correct model of a set-associative LRU
-// cache: per set, a slice ordered from most to least recently used.
+// cache: per set, a slice ordered from most to least recently used. It keeps
+// the same statistics as Cache: Lookup hits and misses, and evictions of
+// valid lines by Insert.
 type referenceCache struct {
 	sets [][]uint64
 	ways int
+
+	hits, misses, evictions uint64
 }
 
 func newReferenceCache(sets, ways int) *referenceCache {
 	return &referenceCache{sets: make([][]uint64, sets), ways: ways}
 }
 
-func (r *referenceCache) access(line uint64) bool {
-	set := int(line % uint64(len(r.sets)))
-	entries := r.sets[set]
-	for i, l := range entries {
+// find returns the set index of line and its position in that set, -1 if
+// absent.
+func (r *referenceCache) find(line uint64) (set, pos int) {
+	set = int(line % uint64(len(r.sets)))
+	for i, l := range r.sets[set] {
 		if l == line {
-			// Move to the front (most recently used).
-			copy(entries[1:i+1], entries[:i])
-			entries[0] = line
-			return true
+			return set, i
 		}
 	}
-	// Miss: insert at the front, evicting the LRU entry if needed.
-	if len(entries) < r.ways {
-		entries = append(entries, 0)
+	return set, -1
+}
+
+// lookup is Cache.Lookup: a hit moves the line to the front.
+func (r *referenceCache) lookup(line uint64) bool {
+	set, i := r.find(line)
+	if i < 0 {
+		r.misses++
+		return false
 	}
-	copy(entries[1:], entries)
+	entries := r.sets[set]
+	copy(entries[1:i+1], entries[:i])
 	entries[0] = line
-	r.sets[set] = entries
+	r.hits++
+	return true
+}
+
+func (r *referenceCache) contains(line uint64) bool {
+	_, i := r.find(line)
+	return i >= 0
+}
+
+// insert is Cache.Insert: the line goes to the front, and a full set evicts
+// its last (least recently used) entry.
+func (r *referenceCache) insert(line uint64) (evicted uint64, ok bool) {
+	set, i := r.find(line)
+	entries := r.sets[set]
+	if i >= 0 {
+		copy(entries[1:i+1], entries[:i])
+		entries[0] = line
+		return 0, false
+	}
+	if len(entries) == r.ways {
+		evicted, ok = entries[len(entries)-1], true
+		entries = entries[:len(entries)-1]
+		r.evictions++
+	}
+	r.sets[set] = append([]uint64{line}, entries...)
+	return evicted, ok
+}
+
+func (r *referenceCache) invalidate(line uint64) {
+	if set, i := r.find(line); i >= 0 {
+		r.sets[set] = append(r.sets[set][:i], r.sets[set][i+1:]...)
+	}
+}
+
+func (r *referenceCache) reset() {
+	clear(r.sets)
+	r.hits, r.misses, r.evictions = 0, 0, 0
+}
+
+// access is a demand access the way the Core drives the cache: Lookup, then
+// Insert on a miss.
+func (r *referenceCache) access(line uint64) bool {
+	if r.lookup(line) {
+		return true
+	}
+	r.insert(line)
 	return false
 }
 

@@ -161,3 +161,29 @@ func TestLineHelper(t *testing.T) {
 		t.Fatal("Line() boundaries wrong")
 	}
 }
+
+// TestCacheResetAfterInsertOnly covers caches that only ever saw Insert — no
+// Lookup, so no hit or miss was counted — which is what Core.Touch and
+// table warming leave behind: Reset must still empty them.
+func TestCacheResetAfterInsertOnly(t *testing.T) {
+	cfg := XeonX5670()
+	sys := MustSystem(cfg)
+	c := sys.NewCore()
+	const first, n = 64, 1 << 12
+	c.Touch(first*LineSize, n*LineSize)
+	if !c.L1().Contains(first+n-1) || !sys.L3().Contains(first) {
+		t.Fatal("Touch did not install the range")
+	}
+	c.Reset()
+	sys.Reset()
+	for _, cache := range []*Cache{c.L1(), c.L2(), sys.L3()} {
+		for line := uint64(first); line < first+n; line++ {
+			if cache.Contains(line) {
+				t.Fatalf("%s still holds line %d after Reset", cache.Name(), line)
+			}
+		}
+		if cache.Hits() != 0 || cache.Misses() != 0 || cache.Evictions() != 0 {
+			t.Fatalf("%s statistics survived Reset", cache.Name())
+		}
+	}
+}

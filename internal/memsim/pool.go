@@ -4,8 +4,8 @@ import "sync"
 
 // This file provides recycling of System+Core pairs across simulation runs.
 // A serving sweep executes thousands of short runs, each of which would
-// otherwise construct a fresh socket model — the L3 tag array alone is over
-// a megabyte — only to discard it a few milliseconds later. Recycling keeps
+// otherwise construct a fresh socket model — the Xeon L3 tag array alone is
+// 768 KB — only to discard it a few milliseconds later. Recycling keeps
 // steady-state serving runs allocation-free.
 //
 // Correctness rests on Reset being exact: a recycled pair must be

@@ -80,6 +80,18 @@ func TestAcquireSystemBitIdentical(t *testing.T) {
 		t.Fatalf("recycled-after-idle system diverged from fresh:\n got %+v\nwant %+v", got, want)
 	}
 	q.Release()
+
+	// A warm-only use — Touch fills every level without a single Lookup, as
+	// table warming does — leaves caches whose counters are all zero; Reset
+	// must still empty them.
+	warm := AcquireSystem(cfg)
+	warm.Core.Touch(64, 1<<20)
+	warm.Release()
+	q = AcquireSystem(cfg)
+	if got := exercise(q.Sys, q.Core, 1); got != want {
+		t.Fatalf("recycled-after-warm system diverged from fresh:\n got %+v\nwant %+v", got, want)
+	}
+	q.Release()
 }
 
 // TestAcquireSystemDistinctConfigs checks that pools are keyed by the full

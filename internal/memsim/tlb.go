@@ -15,23 +15,19 @@ type TLB struct {
 	// lastPage caches the most recent translation; with large pages almost
 	// every access hits it, which keeps the simulator fast.
 	lastPage uint64
-	// memoPage/memoIdx extend lastPage to the last few distinct pages,
-	// direct-mapped by the page's low bits: operators alternate between a
-	// handful of pages (input relation, index nodes, output buffer), which
-	// defeats a single-entry memo. A memo hit replays exactly the effects of
-	// a scan hit (clock tick, use stamp, hit count), and every entry is
-	// validated against the backing array before use, so evictions can never
-	// serve a stale translation.
-	memoPage [tlbMemoEntries]uint64
-	memoIdx  [tlbMemoEntries]int
+	// memoPage/memoIdx extend lastPage to every resident page, direct-mapped
+	// by the page's low bits: operators alternate between many pages (input
+	// relation, table pages, output buffer), which defeats a single-entry
+	// memo, and the memo has at least twice as many slots as the TLB has
+	// entries, so a resident page is almost always found without scanning.
+	// A memo hit replays exactly the effects of a scan hit (clock tick, use
+	// stamp, hit count), and every entry is validated against the backing
+	// array before use, so evictions can never serve a stale translation.
+	memoPage []uint64
+	memoIdx  []int
 	misses   uint64
 	hits     uint64
 }
-
-// tlbMemoEntries is the recent-translation memo size (a power of two):
-// enough for the pages an operator stage touches per lookup (tuple, node,
-// output, spill) with headroom against low-bit collisions.
-const tlbMemoEntries = 8
 
 // NewTLB constructs a TLB from its configuration; cfg must have been
 // validated (power-of-two page size, positive entry count).
@@ -40,11 +36,17 @@ func NewTLB(cfg TLBConfig) *TLB {
 	for sz := cfg.PageBytes; sz > 1; sz >>= 1 {
 		shift++
 	}
+	memo := 1
+	for memo < 2*cfg.Entries {
+		memo <<= 1
+	}
 	return &TLB{
 		pageShift: shift,
 		penalty:   cfg.MissPenaltyCycles,
 		pages:     make([]uint64, cfg.Entries),
 		use:       make([]uint64, cfg.Entries),
+		memoPage:  make([]uint64, memo),
+		memoIdx:   make([]int, memo),
 	}
 }
 
@@ -68,7 +70,7 @@ func (t *TLB) Translate(a Addr) bool {
 // first from the recent-translation memo, then by scanning the entries,
 // installing the page on a miss.
 func (t *TLB) translateSlow(page uint64) bool {
-	if s := page & (tlbMemoEntries - 1); t.memoPage[s] == page {
+	if s := page & uint64(len(t.memoPage)-1); t.memoPage[s] == page {
 		i := t.memoIdx[s]
 		if t.pages[i] == page {
 			t.clock++
@@ -109,7 +111,7 @@ func (t *TLB) translateSlow(page uint64) bool {
 
 // memoize records where page lives for the recent-translation memo.
 func (t *TLB) memoize(page uint64, idx int) {
-	s := page & (tlbMemoEntries - 1)
+	s := page & uint64(len(t.memoPage)-1)
 	t.memoPage[s] = page
 	t.memoIdx[s] = idx
 }
@@ -128,10 +130,8 @@ func (t *TLB) Reset() {
 	}
 	t.clock = 0
 	t.lastPage = 0
-	for i := range t.memoPage {
-		t.memoPage[i] = 0
-		t.memoIdx[i] = 0
-	}
+	clear(t.memoPage)
+	clear(t.memoIdx)
 	t.hits = 0
 	t.misses = 0
 }
