@@ -48,19 +48,19 @@ func Run[S any](c *Core, m Machine[S], opts Options) RunStats {
 
 // RunBaseline executes the machine one lookup at a time with no prefetching.
 func RunBaseline[S any](c *Core, m Machine[S]) {
-	exec.Baseline(c, m)
+	exec.BaselineStream(c, exec.NewMachineSource(m), nil)
 }
 
 // RunGroupPrefetch executes the machine under Group Prefetching with the
 // given group size.
 func RunGroupPrefetch[S any](c *Core, m Machine[S], group int) {
-	exec.GroupPrefetch(c, m, group)
+	exec.GroupPrefetchStream(c, exec.NewMachineSource(m), group, nil)
 }
 
 // RunSoftwarePipeline executes the machine under Software-Pipelined
 // Prefetching with the given number of in-flight lookups.
 func RunSoftwarePipeline[S any](c *Core, m Machine[S], inflight int) {
-	exec.SoftwarePipeline(c, m, inflight)
+	exec.SoftwarePipelineStream(c, exec.NewMachineSource(m), inflight, nil)
 }
 
 // Technique selects one of the four execution schemes when using RunWith.

@@ -495,13 +495,12 @@ func runSegment[S any](c *memsim.Core, m exec.Machine[S], ctl *Controller, tech 
 // runSegmentW is runSegment with an explicit GP/SPP group size.
 func runSegmentW[S any](c *memsim.Core, m exec.Machine[S], ctl *Controller, tech ops.Technique, lo, n, window int) float64 {
 	seg := exec.Shard[S]{M: m, Lo: lo, N: n}
-	start := c.Cycle()
-	var sched core.RunStats
+	opts := core.Options{Width: window}
 	if tech == ops.AMAC {
-		sched = core.Run(c, seg, ctl.amacOptions())
-	} else {
-		ops.RunMachine(c, seg, tech, ops.Params{Window: window})
+		opts = ctl.amacOptions()
 	}
+	start := c.Cycle()
+	sched := ops.RunSource[S](c, exec.NewMachineSource[S](seg), tech, opts)
 	ctl.account(tech, n, sched)
 	ctl.now = c.Cycle()
 	return float64(c.Cycle()-start) / float64(n)

@@ -141,15 +141,14 @@ func (ctl *Controller) GroupWindow(tech ops.Technique) int { return ctl.groupWin
 type Lease struct {
 	// Tech is the engine to run.
 	Tech ops.Technique
-	// Window is the GP/SPP group size for this lease.
-	Window int
 	// Quota is the admission budget.
 	Quota int
 	// Probe marks a calibration lease (a candidate being measured).
 	Probe bool
-	// AMACOpts are the engine options for an AMAC lease, with the
-	// controller's persistent width state attached.
-	AMACOpts core.Options
+	// Opts are the engine options: Width is the GP/SPP group size or AMAC's
+	// starting width, and an AMAC lease carries the controller's persistent
+	// width state. Trace is the controller's trace sink.
+	Opts core.Options
 }
 
 // StreamTuner is the decision loop of adaptive streaming execution, factored
@@ -203,11 +202,11 @@ func (t *StreamTuner) Next() Lease {
 		// recovers.
 		tech = ops.AMAC
 	}
-	l := Lease{Tech: tech, Window: cfg.Window, Quota: quota, Probe: probe}
+	l := Lease{Tech: tech, Quota: quota, Probe: probe, Opts: core.Options{Width: cfg.Window, Trace: ctl.trace}}
 	if tech == ops.AMAC {
-		l.AMACOpts = ctl.amacOptions()
+		l.Opts = ctl.amacOptions()
 	} else if !probe {
-		l.Window = ctl.groupWindow(tech)
+		l.Opts.Width = ctl.groupWindow(tech)
 	}
 	return l
 }
@@ -280,24 +279,12 @@ func (t *StreamTuner) Observe(l Lease, completed int, busyCycles uint64, sched c
 
 // RunLease executes one lease over the source on core c and reports it to
 // the tuner, returning the lease wrapper for inspection (completions,
-// exhaustion, a recorded wait) and the AMAC scheduler stats. It is the
-// shared engine-dispatch helper between RunStream and the pipeline layer;
-// gate and noWait configure the lease's backpressure hooks.
+// exhaustion, a recorded wait) and the AMAC scheduler stats; gate and noWait
+// configure the lease's backpressure hooks.
 func RunLease[S any](c *memsim.Core, src exec.Source[S], t *StreamTuner, l Lease, gate func() bool, noWait bool) (*exec.LeaseSource[S], core.RunStats) {
 	lease := &exec.LeaseSource[S]{Src: src, Quota: l.Quota, Gate: gate, NoWait: noWait}
 	before := c.Stats()
-	var sched core.RunStats
-	tr := t.ctl.trace
-	switch l.Tech {
-	case ops.Baseline:
-		exec.BaselineStreamTraced(c, lease, tr)
-	case ops.GP:
-		exec.GroupPrefetchStreamTraced(c, lease, l.Window, tr)
-	case ops.SPP:
-		exec.SoftwarePipelineStreamTraced(c, lease, l.Window, tr)
-	case ops.AMAC:
-		sched = core.RunStream(c, lease, l.AMACOpts)
-	}
+	sched := ops.RunSource(c, lease, l.Tech, l.Opts)
 	after := c.Stats()
 	busy := (after.Cycles - before.Cycles) - (after.IdleCycles - before.IdleCycles)
 	t.ctl.now = c.Cycle()

@@ -15,6 +15,20 @@ func newCore() *memsim.Core {
 	return sys.NewCore()
 }
 
+// baseline, groupPrefetch and softwarePipeline run a machine as a batch
+// under the rival techniques, for comparisons against AMAC.
+func baseline[S any](c *memsim.Core, m exec.Machine[S]) {
+	exec.BaselineStream(c, exec.NewMachineSource(m), nil)
+}
+
+func groupPrefetch[S any](c *memsim.Core, m exec.Machine[S], group int) {
+	exec.GroupPrefetchStream(c, exec.NewMachineSource(m), group, nil)
+}
+
+func softwarePipeline[S any](c *memsim.Core, m exec.Machine[S], inflight int) {
+	exec.SoftwarePipelineStream(c, exec.NewMachineSource(m), inflight, nil)
+}
+
 func uniformLengths(n, l int) []int {
 	ls := make([]int, n)
 	for i := range ls {
@@ -97,7 +111,7 @@ func TestAMACWidthClampedToLookupCount(t *testing.T) {
 func TestAMACBeatsBaselineOnUniformChains(t *testing.T) {
 	n, l := 400, 4
 	base := newCore()
-	exec.Baseline(base, exectest.NewChainMachine(uniformLengths(n, l), l+1))
+	baseline(base, exectest.NewChainMachine(uniformLengths(n, l), l+1))
 	amac := newCore()
 	core.Run(amac, exectest.NewChainMachine(uniformLengths(n, l), l+1), core.Options{Width: 10})
 	if amac.Cycle()*2 >= base.Cycle() {
@@ -128,7 +142,7 @@ func TestAMACRobustToIrregularChains(t *testing.T) {
 	}
 
 	gpU, gpS := cyclesPerVisit(func(c *memsim.Core, lengths []int) {
-		exec.GroupPrefetch(c, exectest.NewChainMachine(lengths, uniformLen+1), 10)
+		groupPrefetch(c, exectest.NewChainMachine(lengths, uniformLen+1), 10)
 	})
 	amacU, amacS := cyclesPerVisit(func(c *memsim.Core, lengths []int) {
 		core.Run(c, exectest.NewChainMachine(lengths, uniformLen+1), core.Options{Width: 10})
@@ -149,9 +163,9 @@ func TestAMACOutperformsGPAndSPPOnIrregularChains(t *testing.T) {
 	lengths := skewedLengths(n, 11)
 
 	gp := newCore()
-	exec.GroupPrefetch(gp, exectest.NewChainMachine(lengths, 3), 10)
+	groupPrefetch(gp, exectest.NewChainMachine(lengths, 3), 10)
 	spp := newCore()
-	exec.SoftwarePipeline(spp, exectest.NewChainMachine(lengths, 3), 10)
+	softwarePipeline(spp, exectest.NewChainMachine(lengths, 3), 10)
 	amac := newCore()
 	core.Run(amac, exectest.NewChainMachine(lengths, 3), core.Options{Width: 10})
 
@@ -167,13 +181,13 @@ func TestAMACInstructionOverheadBelowGPAndSPP(t *testing.T) {
 	n := 500
 	lengths := uniformLengths(n, 4)
 	gp := newCore()
-	exec.GroupPrefetch(gp, exectest.NewChainMachine(lengths, 5), 10)
+	groupPrefetch(gp, exectest.NewChainMachine(lengths, 5), 10)
 	spp := newCore()
-	exec.SoftwarePipeline(spp, exectest.NewChainMachine(lengths, 5), 10)
+	softwarePipeline(spp, exectest.NewChainMachine(lengths, 5), 10)
 	amac := newCore()
 	core.Run(amac, exectest.NewChainMachine(lengths, 5), core.Options{Width: 10})
 	base := newCore()
-	exec.Baseline(base, exectest.NewChainMachine(lengths, 5))
+	baseline(base, exectest.NewChainMachine(lengths, 5))
 
 	ai := amac.Stats().Instructions
 	if ai >= gp.Stats().Instructions || ai >= spp.Stats().Instructions {

@@ -33,35 +33,42 @@ func (s *scriptController) Sample(w exec.Window) int {
 // right number of node visits — growth activates fresh slots, shrinkage
 // drains the surplus without abandoning in-flight work.
 func TestAMACResizeMidRunCompletesAll(t *testing.T) {
-	for _, script := range [][]int{
-		{16, 4, 12, 2, 20},
-		{1},      // collapse to a single slot and stay there
-		{24, 24}, // grow to the cap and hold
-		{2, 24, 2, 24},
+	for _, tc := range []struct {
+		n, seed int
+		script  []int
+	}{
+		{500, 11, []int{16, 4, 12, 2, 20}},
+		{500, 11, []int{1}},      // collapse to a single slot and stay there
+		{500, 11, []int{24, 24}}, // grow to the cap and hold
+		{500, 11, []int{2, 24, 2, 24}},
+		{400, 9, []int{16, 2, 12}},
+		{400, 9, []int{1}},
+		{400, 9, []int{24}},
 	} {
-		m := exectest.NewChainMachine(skewedLengths(500, 11), 5)
-		ctl := &scriptController{widths: script}
+		m := exectest.NewChainMachine(skewedLengths(tc.n, uint64(tc.seed)), 5)
+		ctl := &scriptController{widths: tc.script}
 		stats := core.Run(newCore(), m, core.Options{
 			Width: 8, Controller: ctl, MaxWidth: 24, ProbeInterval: 10,
 		})
 		checkAllCompleted(t, m)
-		if stats.Initiated != 500 || stats.Completed != 500 {
-			t.Fatalf("script %v: stats %+v", script, stats)
+		if stats.Initiated != tc.n || stats.Completed != tc.n {
+			t.Fatalf("script %v: stats %+v", tc.script, stats)
 		}
 		if stats.WidthChanges == 0 {
-			t.Fatalf("script %v: no width changes recorded", script)
+			t.Fatalf("script %v: no width changes recorded", tc.script)
 		}
 		if stats.MinWidth > 8 || stats.MaxWidth < 8 {
-			t.Fatalf("script %v: width extremes [%d, %d] exclude the start width", script, stats.MinWidth, stats.MaxWidth)
+			t.Fatalf("script %v: width extremes [%d, %d] exclude the start width", tc.script, stats.MinWidth, stats.MaxWidth)
 		}
 		if len(ctl.windows) == 0 {
-			t.Fatalf("script %v: controller never sampled", script)
+			t.Fatalf("script %v: controller never sampled", tc.script)
 		}
 	}
 }
 
 // TestAMACResizeWindowsCarrySignal: probe windows must carry non-trivial
-// counter deltas (cycles advance, lookups complete, memory activity shows).
+// counter deltas (cycles advance, lookups complete, memory activity shows)
+// and be spaced at least the probe interval apart.
 func TestAMACResizeWindowsCarrySignal(t *testing.T) {
 	m := exectest.NewChainMachine(uniformLengths(400, 4), 5)
 	ctl := &scriptController{}
@@ -75,6 +82,22 @@ func TestAMACResizeWindowsCarrySignal(t *testing.T) {
 		}
 		if w.Width != 10 {
 			t.Fatalf("window %d width = %d, want 10 (script never resizes)", i, w.Width)
+		}
+		if w.Completed < 40 {
+			t.Fatalf("window %d spans %d completions, fewer than the probe interval 40", i, w.Completed)
+		}
+	}
+
+	// The default spacing is Width*DefaultProbeFactor, floored at
+	// MinProbeInterval for a narrow window.
+	narrow := &scriptController{}
+	core.Run(newCore(), exectest.NewChainMachine(uniformLengths(400, 4), 5), core.Options{Width: 4, Controller: narrow})
+	if len(narrow.windows) == 0 {
+		t.Fatal("narrow run never sampled")
+	}
+	for i, w := range narrow.windows {
+		if w.Completed < core.MinProbeInterval {
+			t.Fatalf("narrow window %d spans %d completions, fewer than MinProbeInterval", i, w.Completed)
 		}
 	}
 }
@@ -116,22 +139,17 @@ func TestAMACControllerMatchesStaticOutput(t *testing.T) {
 	}
 }
 
-// TestStreamResizeCompletesAll: the streaming engine under mid-run resizes
-// must serve every request exactly once.
-func TestStreamResizeCompletesAll(t *testing.T) {
-	for _, script := range [][]int{{16, 2, 12}, {1}, {24}} {
-		m := exectest.NewChainMachine(skewedLengths(400, 9), 5)
-		src := exec.NewMachineSource[exectest.ChainState](m)
-		stats := core.RunStream(newCore(), src, core.Options{
-			Width: 8, Controller: &scriptController{widths: script}, MaxWidth: 24, ProbeInterval: 10,
-		})
-		checkAllCompleted(t, m)
-		if stats.Completed != 400 {
-			t.Fatalf("script %v: completed %d of 400", script, stats.Completed)
-		}
-		if stats.WidthChanges == 0 {
-			t.Fatalf("script %v: no width changes recorded", script)
-		}
+// TestAMACNoSampleAfterLastLookup: a batch run ends the moment its last
+// lookup completes, so a probe window that closes on that completion is
+// never sampled — the controller would only be charged for, and could only
+// act on, a run that is already over.
+func TestAMACNoSampleAfterLastLookup(t *testing.T) {
+	ctl := &scriptController{}
+	m := exectest.NewChainMachine(uniformLengths(64, 3), 4)
+	core.Run(newCore(), m, core.Options{Width: 4, Controller: ctl, ProbeInterval: 32})
+	checkAllCompleted(t, m)
+	if len(ctl.windows) != 1 {
+		t.Fatalf("controller sampled %d windows, want 1 (at 32 completions, none at the final 64th)", len(ctl.windows))
 	}
 }
 
@@ -149,55 +167,42 @@ func (s *stopAfterController) Sample(w exec.Window) int {
 	return 0
 }
 
-// TestAMACStopRunDrainsAndReports: a StopRun verdict must close admission,
-// drain every in-flight lookup (no partial chains, no double visits) and
-// report the consumed prefix in Initiated so the caller can resume.
+// TestAMACStopRunDrainsAndReports: a StopRun verdict must close admission
+// while requests remain, drain every in-flight lookup (no partial chains, no
+// double visits) and report the consumed prefix in Initiated so the caller
+// can resume.
 func TestAMACStopRunDrainsAndReports(t *testing.T) {
-	lengths := skewedLengths(600, 13)
-	m := exectest.NewChainMachine(lengths, 5)
-	stats := core.Run(newCore(), m, core.Options{
-		Width: 8, Controller: &stopAfterController{stop: 3}, ProbeInterval: 20,
-	})
-	if stats.Initiated >= 600 {
-		t.Fatalf("run was not stopped early: %+v", stats)
-	}
-	if stats.Completed != stats.Initiated {
-		t.Fatalf("stop must drain every initiated lookup: %+v", stats)
-	}
-	if len(m.Completions) != stats.Completed {
-		t.Fatalf("machine saw %d completions, stats %d", len(m.Completions), stats.Completed)
-	}
-	// Every completed lookup ran its full chain; none ran twice.
-	seen := make(map[int]bool)
-	for _, idx := range m.Completions {
-		if seen[idx] {
-			t.Fatalf("lookup %d completed twice", idx)
+	for _, tc := range []struct{ n, seed int }{{600, 13}, {500, 21}} {
+		lengths := skewedLengths(tc.n, uint64(tc.seed))
+		m := exectest.NewChainMachine(lengths, 5)
+		stats := core.Run(newCore(), m, core.Options{
+			Width: 8, Controller: &stopAfterController{stop: 3}, ProbeInterval: 20,
+		})
+		if stats.Initiated >= tc.n {
+			t.Fatalf("run was not stopped early: %+v", stats)
 		}
-		seen[idx] = true
-		if m.Visits[idx] != lengths[idx] {
-			t.Fatalf("lookup %d drained after %d of %d visits", idx, m.Visits[idx], lengths[idx])
+		if stats.Completed != stats.Initiated {
+			t.Fatalf("stop must drain every initiated lookup: %+v", stats)
 		}
-	}
+		if len(m.Completions) != stats.Completed {
+			t.Fatalf("machine saw %d completions, stats %d", len(m.Completions), stats.Completed)
+		}
+		// Every completed lookup ran its full chain; none ran twice.
+		seen := make(map[int]bool)
+		for _, idx := range m.Completions {
+			if seen[idx] {
+				t.Fatalf("lookup %d completed twice", idx)
+			}
+			seen[idx] = true
+			if m.Visits[idx] != lengths[idx] {
+				t.Fatalf("lookup %d drained after %d of %d visits", idx, m.Visits[idx], lengths[idx])
+			}
+		}
 
-	// Resuming from Initiated covers the rest exactly once.
-	rest := exec.Shard[exectest.ChainState]{M: m, Lo: stats.Initiated, N: 600 - stats.Initiated}
-	core.Run(newCore(), rest, core.Options{Width: 8})
-	checkAllCompleted(t, m)
-}
-
-// TestStreamStopRunReturns: the streaming engine must honour StopRun even
-// while the source still has requests, draining in-flight work first.
-func TestStreamStopRunReturns(t *testing.T) {
-	m := exectest.NewChainMachine(skewedLengths(500, 21), 5)
-	src := exec.NewMachineSource[exectest.ChainState](m)
-	stats := core.RunStream(newCore(), src, core.Options{
-		Width: 8, Controller: &stopAfterController{stop: 3}, ProbeInterval: 20,
-	})
-	if stats.Initiated >= 500 {
-		t.Fatalf("stream was not stopped early: %+v", stats)
-	}
-	if stats.Completed != stats.Initiated {
-		t.Fatalf("stop must drain in-flight requests: %+v", stats)
+		// Resuming from Initiated covers the rest exactly once.
+		rest := exec.Shard[exectest.ChainState]{M: m, Lo: stats.Initiated, N: tc.n - stats.Initiated}
+		core.Run(newCore(), rest, core.Options{Width: 8})
+		checkAllCompleted(t, m)
 	}
 }
 
@@ -230,15 +235,5 @@ func TestAMACStopRunIsLatched(t *testing.T) {
 	}
 	if ctl.samples != 2 {
 		t.Fatalf("controller sampled %d times; sampling must end at the StopRun verdict", ctl.samples)
-	}
-
-	sm := exectest.NewChainMachine(skewedLengths(800, 3), 5)
-	src := exec.NewMachineSource[exectest.ChainState](sm)
-	sctl := &flipFlopController{}
-	sstats := core.RunStream(newCore(), src, core.Options{
-		Width: 8, Controller: sctl, MaxWidth: 24, ProbeInterval: 4,
-	})
-	if sstats.Initiated >= 800 || sctl.samples != 2 {
-		t.Fatalf("stream stop not latched: %+v after %d samples", sstats, sctl.samples)
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"amac/internal/obs"
 )
 
-// streamSlot is one circular-buffer entry of a streaming run: the batch
-// engine's scheduling fields plus the identity of the request occupying the
-// slot (for completion accounting).
+// streamSlot is one circular-buffer entry. The lookup's operator-specific
+// state (key, rid, pointer, ...) lives in the engine's parallel states slice;
+// the slot records the scheduling fields and the identity of the request
+// occupying it (for completion accounting).
 type streamSlot struct {
 	busy    bool
 	stage   int
@@ -18,9 +19,10 @@ type streamSlot struct {
 	retries uint64
 }
 
-// streamSlotPool recycles the streaming scheduling slots across runs, so a
-// load sweep that executes one stream run per (technique, load, worker)
-// point reuses one buffer per concurrent run.
+// streamSlotPool recycles the scheduling slots across runs, so sweeps that
+// execute the engine thousands of times (figure 6 alone runs it once per
+// window per skew; a load sweep once per technique, load and worker) reuse
+// one buffer per concurrent run.
 var streamSlotPool sync.Pool
 
 // getStreamSlots returns a zeroed slot buffer of length n from the pool.
@@ -44,6 +46,11 @@ func getStreamSlots(n int) *[]streamSlot { return exec.GetPooled[streamSlot](&st
 //
 // Completions are reported to the source at the cycle the Done outcome is
 // observed, which is when the response could be sent.
+//
+// Over an exec.Finite source (a batch in a MachineSource) the width is
+// clamped to the source's remaining requests, and the run ends the moment
+// the last request completes, without an end-of-stream poll or a further
+// controller sample: a batch runs exactly as a dedicated batch loop would.
 func RunStream[S any](c *memsim.Core, src exec.Source[S], opts Options) RunStats {
 	e := NewStreamEngine(c, src, opts)
 	e.Run(^uint64(0))
@@ -71,6 +78,8 @@ func RunStream[S any](c *memsim.Core, src exec.Source[S], opts Options) RunStats
 type StreamEngine[S any] struct {
 	c   *memsim.Core
 	src exec.Source[S]
+	st  exec.Stager[S]
+	ms  *exec.MachineSource[S] // src, when it is one: pulled without the interface
 	tr  *obs.CoreTrace
 
 	deadline uint64
@@ -87,17 +96,13 @@ type StreamEngine[S any] struct {
 
 	stats     RunStats
 	live      int
+	left      int // requests a finite source still holds (exec.Remaining)
 	exhausted bool
 	waitUntil uint64
 
 	// admit is the refill bound: slots [0, admit) may pull requests. After a
 	// shrink, admit drops first and width follows once the surplus in-flight
 	// lookups in [admit, width) complete and retire their slots.
-	//
-	// The resize bookkeeping deliberately mirrors core.Run's: the engines'
-	// slot types differ and both loops are zero-allocation hot paths, so the
-	// logic is kept in sync by the symmetric tests in resize_test.go rather
-	// than shared through a busy(i) callback that would escape to the heap.
 	width    int
 	admit    int
 	draining int
@@ -113,9 +118,6 @@ type StreamEngine[S any] struct {
 // three steps).
 func NewStreamEngine[S any](c *memsim.Core, src exec.Source[S], opts Options) *StreamEngine[S] {
 	width := opts.resolveWidth(c)
-
-	// Controller-driven runs provision the slot buffer at the growth cap and
-	// move the active window inside it, exactly as in the batch engine.
 	e := &StreamEngine[S]{
 		c:        c,
 		src:      src,
@@ -123,15 +125,27 @@ func NewStreamEngine[S any](c *memsim.Core, src exec.Source[S], opts Options) *S
 		deadline: opts.Deadline,
 		noRefill: opts.DisableImmediateRefill,
 		ctl:      opts.Controller,
-		width:    width,
-		admit:    width,
-		capW:     width,
-	}
-	if e.ctl != nil {
-		e.capW = opts.maxWidth(width)
-		e.probe = newWidthProbe(c, opts.probeInterval(width))
+		left:     exec.Remaining(src),
+		st:       exec.StagerOf(src),
 	}
 	e.sink, _ = src.(exec.FailSink)
+	e.ms, _ = src.(*exec.MachineSource[S])
+	if e.left == 0 {
+		// An empty batch: nothing to schedule, no slot to provision.
+		e.stats.Width = width
+		e.done = true
+		return e
+	}
+	width = min(width, e.left)
+
+	// Controller-driven runs provision the slot buffer at the growth cap and
+	// move the active window [0, width) inside it; static runs allocate
+	// exactly the requested width.
+	e.width, e.admit, e.capW = width, width, width
+	if e.ctl != nil {
+		e.capW = min(opts.maxWidth(width), e.left)
+		e.probe = newWidthProbe(c, opts.probeInterval(width))
+	}
 
 	e.stats.Width = width
 	e.stats.MinWidth, e.stats.MaxWidth = width, width
@@ -204,7 +218,12 @@ func (e *StreamEngine[S]) tryFill(k int) bool {
 	c.Instr(CostStateSwap)
 	p := c.Profiler()
 	p.PushStage(0)
-	pr := e.src.Pull(c, &e.states[k], c.Cycle())
+	var pr exec.PullResult
+	if e.ms != nil {
+		pr = e.ms.Pull(c, &e.states[k], c.Cycle())
+	} else {
+		pr = e.src.Pull(c, &e.states[k], c.Cycle())
+	}
 	p.Pop()
 	switch pr.Status {
 	case exec.Exhausted:
@@ -215,6 +234,9 @@ func (e *StreamEngine[S]) tryFill(k int) bool {
 			e.waitUntil = c.Cycle() + 1
 		}
 	case exec.Pulled:
+		if e.left--; e.left == 0 {
+			e.exhausted = true
+		}
 		e.stats.Initiated++
 		issue(c, pr.Out)
 		e.tr.SlotStart(pullAt, k, pr.Req.Index)
@@ -294,6 +316,11 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 		if c.Cycle() >= limit {
 			return false
 		}
+		if e.left == 0 && e.live == 0 {
+			// A finite source is spent and its last request completed.
+			e.done = true
+			return true
+		}
 		if e.k >= e.width {
 			e.k = 0
 		}
@@ -364,7 +391,7 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 		visitAt := c.Cycle()
 		c.Instr(CostStateSwap)
 		p.PushStage(stage)
-		out := e.src.Stage(c, &e.states[k], stage)
+		out := e.st.Stage(c, &e.states[k], stage)
 		p.Pop()
 		e.stats.StageVisits++
 		if out.Retry {

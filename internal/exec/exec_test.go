@@ -37,6 +37,20 @@ func checkAllCompleted(t *testing.T, m *exectest.ChainMachine) {
 	}
 }
 
+// baseline, groupPrefetch and softwarePipeline run a machine as a batch: the
+// technique's engine over the machine wrapped in a MachineSource.
+func baseline[S any](c *memsim.Core, m exec.Machine[S]) {
+	exec.BaselineStream(c, exec.NewMachineSource(m), nil)
+}
+
+func groupPrefetch[S any](c *memsim.Core, m exec.Machine[S], group int) {
+	exec.GroupPrefetchStream(c, exec.NewMachineSource(m), group, nil)
+}
+
+func softwarePipeline[S any](c *memsim.Core, m exec.Machine[S], inflight int) {
+	exec.SoftwarePipelineStream(c, exec.NewMachineSource(m), inflight, nil)
+}
+
 func uniformLengths(n, l int) []int {
 	ls := make([]int, n)
 	for i := range ls {
@@ -56,13 +70,13 @@ func variableLengths(n int, seed uint64) []int {
 
 func TestBaselineCompletesAllLookups(t *testing.T) {
 	m := exectest.NewChainMachine(variableLengths(200, 1), 5)
-	exec.Baseline(newCore(), m)
+	baseline(newCore(), m)
 	checkAllCompleted(t, m)
 }
 
 func TestBaselineCompletionOrderIsInputOrder(t *testing.T) {
 	m := exectest.NewChainMachine(variableLengths(100, 2), 5)
-	exec.Baseline(newCore(), m)
+	baseline(newCore(), m)
 	if !sort.IntsAreSorted(m.Completions) {
 		t.Fatal("baseline must complete lookups in input order")
 	}
@@ -71,7 +85,7 @@ func TestBaselineCompletionOrderIsInputOrder(t *testing.T) {
 func TestGroupPrefetchCompletesAllLookups(t *testing.T) {
 	for _, group := range []int{1, 3, 10, 64} {
 		m := exectest.NewChainMachine(variableLengths(257, 2), 5)
-		exec.GroupPrefetch(newCore(), m, group)
+		groupPrefetch(newCore(), m, group)
 		checkAllCompleted(t, m)
 	}
 }
@@ -79,34 +93,34 @@ func TestGroupPrefetchCompletesAllLookups(t *testing.T) {
 func TestGroupPrefetchHandlesChainsLongerThanProvisioned(t *testing.T) {
 	// Provision only 3 stages; chains of up to 9 require the clean-up pass.
 	m := exectest.NewChainMachine(variableLengths(100, 3), 3)
-	exec.GroupPrefetch(newCore(), m, 8)
+	groupPrefetch(newCore(), m, 8)
 	checkAllCompleted(t, m)
 }
 
 func TestSoftwarePipelineCompletesAllLookups(t *testing.T) {
 	for _, inflight := range []int{1, 4, 10, 32} {
 		m := exectest.NewChainMachine(variableLengths(311, 4), 5)
-		exec.SoftwarePipeline(newCore(), m, inflight)
+		softwarePipeline(newCore(), m, inflight)
 		checkAllCompleted(t, m)
 	}
 }
 
 func TestSoftwarePipelineHandlesLongChains(t *testing.T) {
 	m := exectest.NewChainMachine(variableLengths(100, 5), 3)
-	exec.SoftwarePipeline(newCore(), m, 10)
+	softwarePipeline(newCore(), m, 10)
 	checkAllCompleted(t, m)
 }
 
 func TestPrefetchingEnginesBeatBaselineOnUniformChains(t *testing.T) {
 	const n, l = 400, 4
 	base := newCore()
-	exec.Baseline(base, exectest.NewChainMachine(uniformLengths(n, l), l+1))
+	baseline(base, exectest.NewChainMachine(uniformLengths(n, l), l+1))
 
 	gp := newCore()
-	exec.GroupPrefetch(gp, exectest.NewChainMachine(uniformLengths(n, l), l+1), 10)
+	groupPrefetch(gp, exectest.NewChainMachine(uniformLengths(n, l), l+1), 10)
 
 	spp := newCore()
-	exec.SoftwarePipeline(spp, exectest.NewChainMachine(uniformLengths(n, l), l+1), 10)
+	softwarePipeline(spp, exectest.NewChainMachine(uniformLengths(n, l), l+1), 10)
 
 	if gp.Cycle() >= base.Cycle() {
 		t.Fatalf("GP (%d cycles) should beat the baseline (%d cycles) on uniform DRAM-resident chains", gp.Cycle(), base.Cycle())
@@ -122,9 +136,9 @@ func TestGroupPrefetchWithGroupOneMatchesBaselineWork(t *testing.T) {
 	// baseline by more than the noise of the extra bookkeeping.
 	n := 100
 	base := newCore()
-	exec.Baseline(base, exectest.NewChainMachine(uniformLengths(n, 4), 5))
+	baseline(base, exectest.NewChainMachine(uniformLengths(n, 4), 5))
 	gp := newCore()
-	exec.GroupPrefetch(gp, exectest.NewChainMachine(uniformLengths(n, 4), 5), 1)
+	groupPrefetch(gp, exectest.NewChainMachine(uniformLengths(n, 4), 5), 1)
 	if gp.Cycle() < base.Cycle()*95/100 {
 		t.Fatalf("GP with group=1 (%d cycles) should not beat baseline (%d cycles)", gp.Cycle(), base.Cycle())
 	}
@@ -137,11 +151,11 @@ func TestInstructionOverheadOrdering(t *testing.T) {
 	lengths := uniformLengths(n, 4)
 
 	base := newCore()
-	exec.Baseline(base, exectest.NewChainMachine(lengths, 5))
+	baseline(base, exectest.NewChainMachine(lengths, 5))
 	gp := newCore()
-	exec.GroupPrefetch(gp, exectest.NewChainMachine(lengths, 5), 10)
+	groupPrefetch(gp, exectest.NewChainMachine(lengths, 5), 10)
 	spp := newCore()
-	exec.SoftwarePipeline(spp, exectest.NewChainMachine(lengths, 5), 10)
+	softwarePipeline(spp, exectest.NewChainMachine(lengths, 5), 10)
 
 	bi := base.Stats().Instructions
 	gi := gp.Stats().Instructions
@@ -159,17 +173,17 @@ func TestEarlyExitWastesGPAndSPPWork(t *testing.T) {
 	short := uniformLengths(n, 1)
 
 	gpOver := newCore()
-	exec.GroupPrefetch(gpOver, exectest.NewChainMachine(short, 6), 10)
+	groupPrefetch(gpOver, exectest.NewChainMachine(short, 6), 10)
 	gpExact := newCore()
-	exec.GroupPrefetch(gpExact, exectest.NewChainMachine(short, 2), 10)
+	groupPrefetch(gpExact, exectest.NewChainMachine(short, 2), 10)
 	if gpOver.Stats().Instructions <= gpExact.Stats().Instructions {
 		t.Fatal("over-provisioned GP should execute more instructions than exactly provisioned GP")
 	}
 
 	sppOver := newCore()
-	exec.SoftwarePipeline(sppOver, exectest.NewChainMachine(short, 6), 10)
+	softwarePipeline(sppOver, exectest.NewChainMachine(short, 6), 10)
 	sppExact := newCore()
-	exec.SoftwarePipeline(sppExact, exectest.NewChainMachine(short, 2), 10)
+	softwarePipeline(sppExact, exectest.NewChainMachine(short, 2), 10)
 	if sppOver.Stats().Instructions <= sppExact.Stats().Instructions {
 		t.Fatal("over-provisioned SPP should execute more instructions than exactly provisioned SPP")
 	}
@@ -192,19 +206,19 @@ func TestLatchConflictsResolvedByAllEngines(t *testing.T) {
 			}
 		})
 	}
-	run("baseline", func(c *memsim.Core, m *exectest.LatchMachine) { exec.Baseline(c, m) })
-	run("gp", func(c *memsim.Core, m *exectest.LatchMachine) { exec.GroupPrefetch(c, m, 8) })
-	run("spp", func(c *memsim.Core, m *exectest.LatchMachine) { exec.SoftwarePipeline(c, m, 8) })
+	run("baseline", func(c *memsim.Core, m *exectest.LatchMachine) { baseline(c, m) })
+	run("gp", func(c *memsim.Core, m *exectest.LatchMachine) { groupPrefetch(c, m, 8) })
+	run("spp", func(c *memsim.Core, m *exectest.LatchMachine) { softwarePipeline(c, m, 8) })
 }
 
 func TestLatchConflictsOnlyHappenWithMultipleInFlight(t *testing.T) {
 	m := exectest.NewLatchMachine(50, 3)
-	exec.Baseline(newCore(), m)
+	baseline(newCore(), m)
 	if m.Retries != 0 {
 		t.Fatalf("baseline has one lookup in flight; retries = %d", m.Retries)
 	}
 	m2 := exectest.NewLatchMachine(50, 3)
-	exec.GroupPrefetch(newCore(), m2, 8)
+	groupPrefetch(newCore(), m2, 8)
 	if m2.Retries == 0 {
 		t.Fatal("grouped execution of latched lookups should produce conflicts")
 	}
@@ -212,21 +226,21 @@ func TestLatchConflictsOnlyHappenWithMultipleInFlight(t *testing.T) {
 
 func TestEnginesToleratePathologicalParameters(t *testing.T) {
 	m := exectest.NewChainMachine(uniformLengths(10, 2), 3)
-	exec.GroupPrefetch(newCore(), m, 0) // clamps to 1
+	groupPrefetch(newCore(), m, 0) // clamps to 1
 	checkAllCompleted(t, m)
 
 	m2 := exectest.NewChainMachine(uniformLengths(10, 2), 3)
-	exec.SoftwarePipeline(newCore(), m2, -5) // clamps to 1
+	softwarePipeline(newCore(), m2, -5) // clamps to 1
 	checkAllCompleted(t, m2)
 
 	m3 := exectest.NewChainMachine(uniformLengths(3, 2), 0) // depth clamps to 1
-	exec.GroupPrefetch(newCore(), m3, 2)
+	groupPrefetch(newCore(), m3, 2)
 	checkAllCompleted(t, m3)
 
 	m4 := exectest.NewChainMachine(nil, 3)
-	exec.Baseline(newCore(), m4) // zero lookups is a no-op
-	exec.GroupPrefetch(newCore(), exectest.NewChainMachine(nil, 3), 4)
-	exec.SoftwarePipeline(newCore(), exectest.NewChainMachine(nil, 3), 4)
+	baseline(newCore(), m4) // zero lookups is a no-op
+	groupPrefetch(newCore(), exectest.NewChainMachine(nil, 3), 4)
+	softwarePipeline(newCore(), exectest.NewChainMachine(nil, 3), 4)
 }
 
 func TestGroupPrefetchReachesMLPLimit(t *testing.T) {
@@ -237,7 +251,7 @@ func TestGroupPrefetchReachesMLPLimit(t *testing.T) {
 	sys := memsim.MustSystem(cfg)
 	c := sys.NewCore()
 	m := exectest.NewChainMachine(uniformLengths(300, 4), 5)
-	exec.GroupPrefetch(c, m, 15)
+	groupPrefetch(c, m, 15)
 	if c.Stats().MSHRFullStalls == 0 {
 		t.Fatal("a group of 15 should exceed the 10-entry MSHR file at least once")
 	}

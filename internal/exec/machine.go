@@ -1,15 +1,17 @@
 // Package exec defines the stage-machine abstraction shared by every
 // pointer-chasing technique in this repository and implements the paper's
-// two prior-art baselines on top of it:
+// no-prefetch reference and its two prior-art techniques on top of it:
 //
 //   - Baseline: one lookup at a time, no software prefetching (Section 2.2.2),
 //   - Group Prefetching (GP) of Chen et al. (Section 2.2.1),
 //   - Software-Pipelined Prefetching (SPP) of Chen et al. / Kim et al.
 //
-// The AMAC engine — the paper's contribution — lives in package core and
-// schedules the same machines, so all four techniques execute identical
-// per-stage work and differ only in scheduling and bookkeeping, exactly as
-// in the paper's methodology.
+// Each technique is one engine over a pull-based Source (stream.go); a
+// batch run wraps its Machine in a MachineSource. The AMAC engine — the
+// paper's contribution — lives in package core and schedules the same
+// sources, so all four techniques execute identical per-stage work and
+// differ only in scheduling and bookkeeping, exactly as in the paper's
+// methodology.
 //
 // A Machine describes one database operator (hash probe, hash build,
 // group-by, BST search, skip list search/insert) as numbered code stages
@@ -99,11 +101,11 @@ const (
 // stages.
 const retryLimit = 1 << 20
 
-// outcomePool and flagPool recycle the per-run scheduling buffers of the
-// batch and stream engines (the Outcome-per-slot and done-per-slot arrays),
-// so parameter sweeps that run an engine thousands of times reuse two
-// buffers instead of allocating per run. The generic per-lookup state slice
-// []S is recycled through GetStates' per-state-type pools (pool.go).
+// outcomePool and flagPool recycle the per-run scheduling buffers of the GP
+// engine (the Outcome-per-slot and done-per-slot arrays), so parameter
+// sweeps that run an engine thousands of times reuse two buffers instead of
+// allocating per run. The generic per-lookup state slice []S is recycled
+// through GetStates' per-state-type pools (pool.go).
 var outcomePool sync.Pool
 var flagPool sync.Pool
 

@@ -57,7 +57,7 @@ func TestShardDelegatesWithOffset(t *testing.T) {
 	if sh.ProvisionedStages() != m.ProvisionedStages() {
 		t.Fatal("ProvisionedStages must delegate")
 	}
-	exec.Baseline(newCore(), sh)
+	baseline(newCore(), sh)
 	for i, visits := range m.Visits {
 		want := 0
 		if i >= 4 && i < 7 {
@@ -83,7 +83,7 @@ func parallelChainRun(workers int) exec.ParallelStats {
 		machines[w] = exectest.NewChainMachine(variableLengths(shards[w].N, uint64(w+1)), 5)
 	}
 	return exec.RunParallel(cores, func(w int, c *memsim.Core) {
-		exec.SoftwarePipeline(c, machines[w], 8)
+		softwarePipeline(c, machines[w], 8)
 	})
 }
 

@@ -3,7 +3,6 @@ package exec_test
 import (
 	"testing"
 
-	"amac/internal/exec"
 	"amac/internal/exec/exectest"
 )
 
@@ -19,7 +18,7 @@ func TestGroupPrefetchRespectsGroupBarrier(t *testing.T) {
 	}
 	const group = 8
 	m := exectest.NewChainMachine(lengths, 4)
-	exec.GroupPrefetch(newCore(), m, group)
+	groupPrefetch(newCore(), m, group)
 
 	for pos, idx := range m.Completions {
 		if idx/group > pos/group {
@@ -43,7 +42,7 @@ func TestSoftwarePipelineRefillsWithoutGroupBarrier(t *testing.T) {
 		}
 	}
 	m := exectest.NewChainMachine(lengths, 3)
-	exec.SoftwarePipeline(newCore(), m, 10)
+	softwarePipeline(newCore(), m, 10)
 
 	// Some short lookup with an index beyond the first "group" of 10 must
 	// complete before the long lookup 0 does.
@@ -71,7 +70,7 @@ func TestSoftwarePipelineRefillsWithoutGroupBarrier(t *testing.T) {
 func TestBaselineNeverIssuesPrefetches(t *testing.T) {
 	c := newCore()
 	m := exectest.NewChainMachine(uniformLengths(100, 3), 4)
-	exec.Baseline(c, m)
+	baseline(c, m)
 	if c.Stats().Prefetches != 0 {
 		t.Fatalf("baseline issued %d prefetches", c.Stats().Prefetches)
 	}
@@ -83,12 +82,12 @@ func TestPrefetchingEnginesIssuePrefetches(t *testing.T) {
 	for name, run := range map[string]func(m *exectest.ChainMachine) uint64{
 		"gp": func(m *exectest.ChainMachine) uint64 {
 			c := newCore()
-			exec.GroupPrefetch(c, m, 8)
+			groupPrefetch(c, m, 8)
 			return c.Stats().Prefetches
 		},
 		"spp": func(m *exectest.ChainMachine) uint64 {
 			c := newCore()
-			exec.SoftwarePipeline(c, m, 8)
+			softwarePipeline(c, m, 8)
 			return c.Stats().Prefetches
 		},
 	} {

@@ -1,16 +1,21 @@
 package exec
 
-import "amac/internal/memsim"
+import (
+	"math"
 
-// This file defines the pull-based lookup stream that feeds the streaming
-// execution engines (BaselineStream, GroupPrefetchStream,
-// SoftwarePipelineStream here; core.RunStream for AMAC). Where a Machine is a
-// fixed, pre-materialized batch of lookups — every index 0..NumLookups()-1
-// exists before the run starts — a Source hands out lookups one at a time and
-// may answer "nothing has arrived yet", which is exactly the situation a
-// request-serving system faces under open-loop traffic. Each request carries
-// the simulated cycle at which it entered the system, so the source can
-// account admission→completion latency per request.
+	"amac/internal/memsim"
+)
+
+// This file defines the pull-based lookup stream that feeds the execution
+// engines (BaselineStream, GroupPrefetchStream, SoftwarePipelineStream here;
+// core.RunStream for AMAC). A batch run is a stream over a MachineSource.
+// Where a Machine is a fixed, pre-materialized batch of lookups — every
+// index 0..NumLookups()-1 exists before the run starts — a Source hands out
+// lookups one at a time and may answer "nothing has arrived yet", which is
+// exactly the situation a request-serving system faces under open-loop
+// traffic. Each request carries the simulated cycle at which it entered the
+// system, so the source can account admission→completion latency per
+// request.
 
 // Request identifies one admitted lookup of a streaming run.
 type Request struct {
@@ -77,15 +82,16 @@ type Source[S any] interface {
 // MachineSource adapts a fixed Machine batch to the Source interface: every
 // lookup is considered admitted at cycle 0 (the whole batch is materialized
 // before the run starts), handed out in index order, and never waits. It is
-// the bridge that lets a streaming engine replay a batch workload — tests
-// use it to prove that stream-mode execution produces exactly the batch-mode
-// output.
+// how every batch run executes: a batch is a stream that is ready at once and
+// knows its own length (it implements Finite), so the streaming engines run
+// it cycle for cycle the way a dedicated batch loop would.
 type MachineSource[S any] struct {
 	M Machine[S]
 	// OnComplete, if non-nil, observes every completion.
 	OnComplete func(req Request, done uint64)
 
 	next int
+	n    int // M.NumLookups() when last read: Pull rereads it only at the bound
 }
 
 // NewMachineSource wraps a machine as an always-ready source.
@@ -98,8 +104,10 @@ func (ms *MachineSource[S]) ProvisionedStages() int { return ms.M.ProvisionedSta
 
 // Pull implements Source: the next lookup in index order, admitted at cycle 0.
 func (ms *MachineSource[S]) Pull(c *memsim.Core, s *S, now uint64) PullResult {
-	if ms.next >= ms.M.NumLookups() {
-		return PullResult{Status: Exhausted}
+	if ms.next >= ms.n {
+		if ms.n = ms.M.NumLookups(); ms.next >= ms.n {
+			return PullResult{Status: Exhausted}
+		}
 	}
 	i := ms.next
 	ms.next++
@@ -107,7 +115,8 @@ func (ms *MachineSource[S]) Pull(c *memsim.Core, s *S, now uint64) PullResult {
 	return PullResult{Status: Pulled, Out: out, Req: Request{Index: i}}
 }
 
-// Stage implements Source.
+// Stage implements Source. The engines skip it and call the machine
+// directly (see StagerOf).
 func (ms *MachineSource[S]) Stage(c *memsim.Core, s *S, stage int) Outcome {
 	return ms.M.Stage(c, s, stage)
 }
@@ -117,6 +126,46 @@ func (ms *MachineSource[S]) Complete(req Request, done uint64) {
 	if ms.OnComplete != nil {
 		ms.OnComplete(req, done)
 	}
+}
+
+// Remaining implements Finite: the lookups not yet pulled.
+func (ms *MachineSource[S]) Remaining() int { return ms.M.NumLookups() - ms.next }
+
+// Finite is implemented by sources that know, without polling, how many
+// more requests Pull will hand out. An engine reads it once, when its run
+// starts, and counts its own pulls from there: once the count reaches zero
+// the run ends as soon as the last in-flight lookup completes, with no
+// end-of-stream poll, which is how a batch of NumLookups lookups ends. A live
+// queue cannot know its stream is over until a poll says so, and pays for
+// that poll.
+type Finite interface {
+	Remaining() int
+}
+
+// Remaining returns the number of requests a Finite source still holds, or
+// math.MaxInt for a live source, whose end only a poll can reveal.
+func Remaining[S any](src Source[S]) int {
+	if f, ok := src.(Finite); ok {
+		return f.Remaining()
+	}
+	return math.MaxInt
+}
+
+// Stager runs one code stage of an in-flight lookup: the method Machine and
+// Source share.
+type Stager[S any] interface {
+	Stage(c *memsim.Core, s *S, stage int) Outcome
+}
+
+// StagerOf returns what an engine calls to run src's code stages: the
+// machine of a MachineSource, whose Stage only forwards to it, so a batch
+// pays one dynamic call per stage rather than two; otherwise src itself.
+// Engines resolve it once per run.
+func StagerOf[S any](src Source[S]) Stager[S] {
+	if ms, ok := src.(*MachineSource[S]); ok {
+		return ms.M
+	}
+	return src
 }
 
 // FailKind classifies a request an engine abandoned instead of completing.

@@ -30,13 +30,13 @@ func streamLengths(n int, seed uint64) []int {
 // runStreamEngine names each adapter so table tests can sweep them.
 var streamEngines = map[string]func(c *memsim.Core, src exec.Source[exectest.ChainState]){
 	"BaselineStream": func(c *memsim.Core, src exec.Source[exectest.ChainState]) {
-		exec.BaselineStream(c, src)
+		exec.BaselineStream(c, src, nil)
 	},
 	"GroupPrefetchStream": func(c *memsim.Core, src exec.Source[exectest.ChainState]) {
-		exec.GroupPrefetchStream(c, src, 8)
+		exec.GroupPrefetchStream(c, src, 8, nil)
 	},
 	"SoftwarePipelineStream": func(c *memsim.Core, src exec.Source[exectest.ChainState]) {
-		exec.SoftwarePipelineStream(c, src, 8)
+		exec.SoftwarePipelineStream(c, src, 8, nil)
 	},
 }
 
@@ -94,10 +94,10 @@ func TestStreamAdaptersResolveLatchConflicts(t *testing.T) {
 	// conflicts cannot arise there at all.
 	for name, engine := range map[string]func(c *memsim.Core, src exec.Source[exectest.LatchState]){
 		"GroupPrefetchStream": func(c *memsim.Core, src exec.Source[exectest.LatchState]) {
-			exec.GroupPrefetchStream(c, src, 6)
+			exec.GroupPrefetchStream(c, src, 6, nil)
 		},
 		"SoftwarePipelineStream": func(c *memsim.Core, src exec.Source[exectest.LatchState]) {
-			exec.SoftwarePipelineStream(c, src, 6)
+			exec.SoftwarePipelineStream(c, src, 6, nil)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -85,23 +85,44 @@ func (p Params) window() int {
 	return p.Window
 }
 
+// Options converts the parameters to engine options: Window is GP's group
+// size, SPP's pipeline occupancy and AMAC's starting width.
+func (p Params) Options() core.Options {
+	return core.Options{
+		Width: p.window(), Controller: p.Controller,
+		MaxWidth: p.MaxWidth, ProbeInterval: p.ProbeInterval,
+	}
+}
+
 // RunMachine executes every lookup of machine m on core c using the given
-// technique. It runs the machine as a fixed batch; serve.RunSource is the
-// streaming counterpart that draws the same machines from a request queue.
-func RunMachine[S any](c *memsim.Core, m exec.Machine[S], tech Technique, p Params) {
+// technique: RunSource over the machine as a fixed batch.
+func RunMachine[S any](c *memsim.Core, m exec.Machine[S], tech Technique, p Params) core.RunStats {
+	return RunSource[S](c, exec.NewMachineSource(m), tech, p.Options())
+}
+
+// RunSource drives the technique's engine over one source on one core until
+// the source is exhausted. It is the one place that maps a technique to its
+// engine. opts.Width is the in-flight window of every prefetching technique
+// (zero selects DefaultWindow) and opts.Trace the optional trace sink; the
+// remaining options are AMAC's alone — GP and SPP bake their group size and
+// pipeline depth into their control flow. AMAC returns its scheduler stats;
+// the other engines report everything through the source.
+func RunSource[S any](c *memsim.Core, src exec.Source[S], tech Technique, opts core.Options) core.RunStats {
+	window := opts.Width
+	if window <= 0 {
+		window = DefaultWindow
+	}
 	switch tech {
 	case Baseline:
-		exec.Baseline(c, m)
+		exec.BaselineStream(c, src, opts.Trace)
 	case GP:
-		exec.GroupPrefetch(c, m, p.window())
+		exec.GroupPrefetchStream(c, src, window, opts.Trace)
 	case SPP:
-		exec.SoftwarePipeline(c, m, p.window())
+		exec.SoftwarePipelineStream(c, src, window, opts.Trace)
 	case AMAC:
-		core.Run(c, m, core.Options{
-			Width: p.window(), Controller: p.Controller,
-			MaxWidth: p.MaxWidth, ProbeInterval: p.ProbeInterval,
-		})
+		return core.RunStream(c, src, opts)
 	default:
 		panic(fmt.Sprintf("ops: unknown technique %d", int(tech)))
 	}
+	return core.RunStats{}
 }

@@ -468,7 +468,7 @@ func (p *Pipeline) pump(c *memsim.Core, idx int) (waitUntil uint64) {
 	if st.tuner != nil {
 		res = p.runTuned(c, st, gate)
 	} else {
-		res = st.run(c, st.cfg, p.burst, gate, true, nil)
+		res = st.run(c, st.cfg.Tech, core.Options{Width: st.cfg.Window}, p.burst, gate, true)
 	}
 	st.sched.Add(res.sched)
 	if res.exhausted {
@@ -492,13 +492,9 @@ func (p *Pipeline) pump(c *memsim.Core, idx int) (waitUntil uint64) {
 // so each stage's controller compares techniques on its own service cost.
 func (p *Pipeline) runTuned(c *memsim.Core, st *stageExec, gate func() bool) leaseOutcome {
 	l := st.tuner.Next()
-	var opts *core.Options
-	if l.Tech == ops.AMAC {
-		opts = &l.AMACOpts
-	}
 	before := busyCycles(c)
 	p.nested = append(p.nested, 0)
-	res := st.run(c, StageConfig{Tech: l.Tech, Window: l.Window}, l.Quota, gate, true, opts)
+	res := st.run(c, l.Tech, l.Opts, l.Quota, gate, true)
 	nested := p.nested[len(p.nested)-1]
 	p.nested = p.nested[:len(p.nested)-1]
 	total := busyCycles(c) - before
@@ -544,7 +540,7 @@ func (p *Pipeline) Run(c *memsim.Core, cfgs []StageConfig) Result {
 	}
 	p.runPrelude(c)
 	sink := p.stages[len(p.stages)-1]
-	res := sink.run(c, sink.cfg, 0, nil, false, nil)
+	res := sink.run(c, sink.cfg.Tech, core.Options{Width: sink.cfg.Window}, 0, nil, false)
 	sink.sched.Add(res.sched)
 	sink.done = true
 	return p.result()

@@ -84,11 +84,11 @@ type leaseOutcome struct {
 	sched     core.RunStats
 }
 
-// stageRunner executes the stage's engine: bounded to quota admissions under
-// the gate when quota > 0 (a pump lease), to exhaustion otherwise (the sink
-// of a static run). opts, when non-nil, carries an adaptive AMAC lease's
-// engine options (persistent width controller attached).
-type stageRunner func(c *memsim.Core, cfg StageConfig, quota int, gate func() bool, noWait bool, opts *core.Options) leaseOutcome
+// stageRunner executes the technique's engine with the given options (an
+// adaptive AMAC lease carries its persistent width controller), bounded to
+// quota admissions under the gate when quota > 0 (a pump lease), to
+// exhaustion otherwise (the sink of a static run).
+type stageRunner func(c *memsim.Core, tech ops.Technique, opts core.Options, quota int, gate func() bool, noWait bool) leaseOutcome
 
 // stageSampler runs the planner's adaptive probe over a sample of the
 // stage's input rows on a scratch core (rows is ignored by root stages,
@@ -115,45 +115,25 @@ type stageExec struct {
 	sched core.RunStats
 }
 
-// makeRunner builds the engine-dispatch closure over a stage's source. The
-// stage's trace sink is read at lease time, so SetTrace works after Build.
+// makeRunner builds the engine closure over a stage's source. The stage's
+// trace sink is read at lease time, so SetTrace works after Build.
 func makeRunner[S any](st *stageExec, src exec.Source[S]) stageRunner {
-	return func(c *memsim.Core, cfg StageConfig, quota int, gate func() bool, noWait bool, opts *core.Options) leaseOutcome {
+	return func(c *memsim.Core, tech ops.Technique, opts core.Options, quota int, gate func() bool, noWait bool) leaseOutcome {
 		drive := src
 		var lease *exec.LeaseSource[S]
 		if quota > 0 {
 			lease = &exec.LeaseSource[S]{Src: src, Quota: quota, Gate: gate, NoWait: noWait}
 			drive = lease
 		}
-		amacOpts := core.Options{Width: cfg.Window}
-		if opts != nil {
-			amacOpts = *opts
-		}
-		if amacOpts.Trace == nil {
-			amacOpts.Trace = st.tr
-		}
-		window := cfg.Window
-		if window <= 0 {
-			window = ops.DefaultWindow
+		if opts.Trace == nil {
+			opts.Trace = st.tr
 		}
 		// Each lease runs under the stage's label frame, so per-stage cycles
 		// (and the technique frames the engines push beneath) separate in a
 		// profile of the shared core.
 		p := c.Profiler()
 		p.Push(p.Frame(st.label))
-		var sched core.RunStats
-		switch cfg.Tech {
-		case ops.Baseline:
-			exec.BaselineStreamTraced(c, drive, st.tr)
-		case ops.GP:
-			exec.GroupPrefetchStreamTraced(c, drive, window, st.tr)
-		case ops.SPP:
-			exec.SoftwarePipelineStreamTraced(c, drive, window, st.tr)
-		case ops.AMAC:
-			sched = core.RunStream(c, drive, amacOpts)
-		default:
-			panic("pipeline: unknown technique")
-		}
+		sched := ops.RunSource(c, drive, tech, opts)
 		p.Pop()
 		if lease == nil {
 			return leaseOutcome{exhausted: true, sched: sched}

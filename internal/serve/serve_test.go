@@ -137,7 +137,7 @@ func TestQueueSourceLatencyIncludesQueueWait(t *testing.T) {
 	m := exectest.NewChainMachine(chainLengths(2, 4), 3)
 	src := serve.NewQueueSource[exectest.ChainState](m, []uint64{0, 0}, 0, serve.Block, nil)
 	c := newCore()
-	serve.RunSource(c, src, ops.Baseline, ops.Params{})
+	ops.RunSource(c, src, ops.Baseline, ops.Params{}.Options())
 	rec := src.Recorder()
 	if rec.Completed != 2 {
 		t.Fatalf("completed=%d", rec.Completed)
@@ -162,7 +162,7 @@ func streamJoinOutput(t *testing.T, tech ops.Technique, arrivals []uint64) (coun
 	j.PrebuildRaw()
 	out := ops.NewOutput(j.Arena, false)
 	src := serve.NewQueueSource[ops.ProbeState](j.ProbeMachine(out, false), arrivals, 0, serve.Block, nil)
-	serve.RunSource(newCore(), src, tech, ops.Params{Window: 8})
+	ops.RunSource(newCore(), src, tech, ops.Params{Window: 8}.Options())
 	if got := src.Recorder().Completed; got != uint64(len(arrivals)) {
 		t.Fatalf("%s completed %d of %d requests", tech, got, len(arrivals))
 	}
@@ -211,7 +211,7 @@ func TestAMACStreamHoldsTailUnderLoad(t *testing.T) {
 		out := ops.NewOutput(j.Arena, false)
 		arrivals := serve.Poisson{MeanPeriod: period}.Schedule(probe.Len(), 17)
 		src := serve.NewQueueSource[ops.ProbeState](j.ProbeMachine(out, true), arrivals, 0, serve.Block, nil)
-		serve.RunSource(newCore(), src, tech, ops.Params{Window: 10})
+		ops.RunSource(newCore(), src, tech, ops.Params{Window: 10}.Options())
 		return src.Recorder().P99()
 	}
 

@@ -13,35 +13,6 @@ import (
 	"amac/internal/prof"
 )
 
-// RunSource drives one streaming engine over one source on one core: the
-// streaming counterpart of ops.RunMachine. AMAC returns its scheduler
-// stats; the other engines report everything through the source's recorder.
-func RunSource[S any](c *memsim.Core, src exec.Source[S], tech ops.Technique, p ops.Params) core.RunStats {
-	return RunSourceTraced(c, src, tech, p, nil)
-}
-
-// RunSourceTraced is RunSource with a per-core trace sink attached to the
-// engine (nil behaves exactly like RunSource).
-func RunSourceTraced[S any](c *memsim.Core, src exec.Source[S], tech ops.Technique, p ops.Params, tr *obs.CoreTrace) core.RunStats {
-	window := p.Window
-	if window <= 0 {
-		window = ops.DefaultWindow
-	}
-	switch tech {
-	case ops.Baseline:
-		exec.BaselineStreamTraced(c, src, tr)
-	case ops.GP:
-		exec.GroupPrefetchStreamTraced(c, src, window, tr)
-	case ops.SPP:
-		exec.SoftwarePipelineStreamTraced(c, src, window, tr)
-	case ops.AMAC:
-		return core.RunStream(c, src, core.Options{Width: window, Trace: tr})
-	default:
-		panic(fmt.Sprintf("serve: unknown technique %d", int(tech)))
-	}
-	return core.RunStats{}
-}
-
 // Worker describes one worker of a sharded streaming service: the operator
 // machine serving its partition of the data and the arrival schedule of the
 // requests routed to it. Lookup i of the machine is request i of the
@@ -227,7 +198,7 @@ func Run[S any](opts Options, workers []Worker[S]) Result {
 			sched[w] = adapt.RunStream(c, sources[w], ctls[w], sources[w].Depth)
 			return
 		}
-		sched[w] = RunSourceTraced(c, sources[w], opts.Technique, ops.Params{Window: opts.Window}, trs[w])
+		sched[w] = ops.RunSource(c, sources[w], opts.Technique, core.Options{Width: opts.Window, Trace: trs[w]})
 	})
 
 	res := Result{Stats: ps.Merged, Sched: core.MergeRunStats(sched)}

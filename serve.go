@@ -3,6 +3,7 @@ package amac
 import (
 	"amac/internal/core"
 	"amac/internal/exec"
+	"amac/internal/ops"
 	"amac/internal/serve"
 )
 
@@ -41,8 +42,8 @@ type PullResult = exec.PullResult
 type Source[S any] = exec.Source[S]
 
 // MachineSource adapts a fixed Machine batch to the Source interface (every
-// lookup admitted at cycle 0), which lets a streaming engine replay a batch
-// workload bit-identically.
+// lookup admitted at cycle 0). Every batch run (Run, RunWith, RunBaseline,
+// ...) is a streaming engine over one.
 type MachineSource[S any] = exec.MachineSource[S]
 
 // NewMachineSource wraps a machine as an always-ready source.
@@ -110,28 +111,28 @@ func RunStream[S any](c *Core, src Source[S], opts Options) RunStats {
 
 // RunBaselineStream serves requests one at a time with no prefetching.
 func RunBaselineStream[S any](c *Core, src Source[S]) {
-	exec.BaselineStream(c, src)
+	exec.BaselineStream(c, src, nil)
 }
 
 // RunGroupPrefetchStream serves requests under Group Prefetching semantics:
 // new requests are admitted only at group boundaries, after the previous
 // group fully drained.
 func RunGroupPrefetchStream[S any](c *Core, src Source[S], group int) {
-	exec.GroupPrefetchStream(c, src, group)
+	exec.GroupPrefetchStream(c, src, group, nil)
 }
 
 // RunSoftwarePipelineStream serves requests under Software-Pipelined
 // Prefetching semantics: a pipeline slot refills only at its static refill
 // point, even when its lookup finished early.
 func RunSoftwarePipelineStream[S any](c *Core, src Source[S], inflight int) {
-	exec.SoftwarePipelineStream(c, src, inflight)
+	exec.SoftwarePipelineStream(c, src, inflight, nil)
 }
 
 // RunSourceWith drives the selected technique's streaming engine over one
 // source on one core — the streaming counterpart of RunWith. AMAC returns
 // its scheduler stats; the other engines report only through the source.
 func RunSourceWith[S any](c *Core, src Source[S], tech Technique, p Params) RunStats {
-	return serve.RunSource(c, src, tech, p)
+	return ops.RunSource(c, src, tech, p.Options())
 }
 
 // ServiceWorker describes one worker of a sharded streaming service: its
