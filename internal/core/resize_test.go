@@ -139,6 +139,32 @@ func TestAMACControllerMatchesStaticOutput(t *testing.T) {
 	}
 }
 
+// liveSource hides a MachineSource's exec.Finite interface, so the engine
+// sees a live stream whose end only an exhausted poll reveals.
+type liveSource struct {
+	exec.Source[exectest.ChainState]
+}
+
+// TestStreamResizeCompletesAll: the streaming engine over a live source,
+// which it cannot clamp to or count down, must serve every request exactly
+// once under mid-run resizes.
+func TestStreamResizeCompletesAll(t *testing.T) {
+	for _, script := range [][]int{{16, 2, 12}, {1}, {24}} {
+		m := exectest.NewChainMachine(skewedLengths(400, 9), 5)
+		src := liveSource{exec.NewMachineSource[exectest.ChainState](m)}
+		stats := core.RunStream(newCore(), src, core.Options{
+			Width: 8, Controller: &scriptController{widths: script}, MaxWidth: 24, ProbeInterval: 10,
+		})
+		checkAllCompleted(t, m)
+		if stats.Initiated != 400 || stats.Completed != 400 {
+			t.Fatalf("script %v: stats %+v", script, stats)
+		}
+		if stats.WidthChanges == 0 {
+			t.Fatalf("script %v: no width changes recorded", script)
+		}
+	}
+}
+
 // TestAMACNoSampleAfterLastLookup: a batch run ends the moment its last
 // lookup completes, so a probe window that closes on that completion is
 // never sampled — the controller would only be charged for, and could only
@@ -203,6 +229,26 @@ func TestAMACStopRunDrainsAndReports(t *testing.T) {
 		rest := exec.Shard[exectest.ChainState]{M: m, Lo: stats.Initiated, N: tc.n - stats.Initiated}
 		core.Run(newCore(), rest, core.Options{Width: 8})
 		checkAllCompleted(t, m)
+	}
+}
+
+// TestStreamStopRunReturns: the streaming engine over a live source must
+// honour StopRun while the source still has requests, draining in-flight
+// work first.
+func TestStreamStopRunReturns(t *testing.T) {
+	m := exectest.NewChainMachine(skewedLengths(500, 21), 5)
+	src := liveSource{exec.NewMachineSource[exectest.ChainState](m)}
+	stats := core.RunStream(newCore(), src, core.Options{
+		Width: 8, Controller: &stopAfterController{stop: 3}, ProbeInterval: 20,
+	})
+	if stats.Initiated >= 500 {
+		t.Fatalf("stream was not stopped early: %+v", stats)
+	}
+	if stats.Completed != stats.Initiated {
+		t.Fatalf("stop must drain in-flight requests: %+v", stats)
+	}
+	if len(m.Completions) != stats.Completed {
+		t.Fatalf("machine saw %d completions, stats %d", len(m.Completions), stats.Completed)
 	}
 }
 
