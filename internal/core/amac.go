@@ -90,13 +90,12 @@ type Options struct {
 	// results are bit-identical with or without it, and the nil (disabled)
 	// path costs one predictable branch per event site.
 	Trace *obs.CoreTrace
-	// Deadline, if positive, bounds each request's admission→completion
-	// time: a busy slot whose request has exceeded its deadline is closed on
-	// its next visit — the slot drains exactly like a shrunk window retires,
-	// the in-flight memory ops are left to settle in the MSHRs, and the
-	// request is reported through exec.FailSink instead of Complete. A batch
-	// run admits every lookup at cycle 0, so there it bounds the run's
-	// simulated clock instead.
+	// Deadline, if positive, bounds each request's admission→completion time
+	// in streaming runs: a busy slot whose request has exceeded its deadline
+	// is closed on its next visit — the slot drains exactly like a shrunk
+	// window retires, the in-flight memory ops are left to settle in the
+	// MSHRs, and the request is reported through exec.FailSink instead of
+	// Complete. Batch runs ignore it (a batch has no admission times).
 	Deadline uint64
 }
 
@@ -148,7 +147,9 @@ func (o Options) probeInterval(width int) int {
 // Run executes every lookup of the machine using AMAC with the given
 // options and returns scheduling statistics: the streaming engine over the
 // batch (see RunStream), which clamps the width to the number of lookups.
+// Options.Deadline is ignored.
 func Run[S any](c *memsim.Core, m exec.Machine[S], opts Options) RunStats {
+	opts.Deadline = 0
 	return RunStream[S](c, exec.NewMachineSource(m), opts)
 }
 

@@ -108,6 +108,28 @@ func TestAMACWidthClampedToLookupCount(t *testing.T) {
 	checkAllCompleted(t, m)
 }
 
+// A batch has no admission times, so a batch run ignores Options.Deadline:
+// on a core whose clock is already far past the deadline, every lookup still
+// completes and the simulation matches a run without one.
+func TestAMACBatchIgnoresDeadline(t *testing.T) {
+	run := func(deadline uint64) (core.RunStats, memsim.Stats) {
+		c := newCore()
+		c.AdvanceTo(1 << 20)
+		m := exectest.NewChainMachine(uniformLengths(200, 3), 4)
+		stats := core.Run(c, m, core.Options{Width: 8, Deadline: deadline})
+		checkAllCompleted(t, m)
+		return stats, c.Stats()
+	}
+	wantRun, wantSim := run(0)
+	gotRun, gotSim := run(1)
+	if gotRun.TimedOut != 0 || gotRun != wantRun {
+		t.Fatalf("run stats with a deadline = %+v, want %+v", gotRun, wantRun)
+	}
+	if gotSim != wantSim {
+		t.Fatalf("simulated stats with a deadline = %+v, want %+v", gotSim, wantSim)
+	}
+}
+
 func TestAMACBeatsBaselineOnUniformChains(t *testing.T) {
 	n, l := 400, 4
 	base := newCore()

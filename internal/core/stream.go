@@ -78,8 +78,7 @@ func RunStream[S any](c *memsim.Core, src exec.Source[S], opts Options) RunStats
 type StreamEngine[S any] struct {
 	c   *memsim.Core
 	src exec.Source[S]
-	st  exec.Stager[S]
-	ms  *exec.MachineSource[S] // src, when it is one: pulled without the interface
+	st  exec.Stager[S] // src.Stager(), resolved once
 	tr  *obs.CoreTrace
 
 	deadline uint64
@@ -94,6 +93,7 @@ type StreamEngine[S any] struct {
 	slotsP    *[]streamSlot
 	slots     []streamSlot
 
+	pr        exec.PullResult // tryFill's pull result, filled in place
 	stats     RunStats
 	live      int
 	left      int // requests a finite source still holds (exec.Remaining)
@@ -126,10 +126,9 @@ func NewStreamEngine[S any](c *memsim.Core, src exec.Source[S], opts Options) *S
 		noRefill: opts.DisableImmediateRefill,
 		ctl:      opts.Controller,
 		left:     exec.Remaining(src),
-		st:       exec.StagerOf(src),
+		st:       src.Stager(),
 	}
 	e.sink, _ = src.(exec.FailSink)
-	e.ms, _ = src.(*exec.MachineSource[S])
 	if e.left == 0 {
 		// An empty batch: nothing to schedule, no slot to provision.
 		e.stats.Width = width
@@ -218,12 +217,8 @@ func (e *StreamEngine[S]) tryFill(k int) bool {
 	c.Instr(CostStateSwap)
 	p := c.Profiler()
 	p.PushStage(0)
-	var pr exec.PullResult
-	if e.ms != nil {
-		pr = e.ms.Pull(c, &e.states[k], c.Cycle())
-	} else {
-		pr = e.src.Pull(c, &e.states[k], c.Cycle())
-	}
+	pr := &e.pr
+	e.src.Pull(c, &e.states[k], c.Cycle(), pr)
 	p.Pop()
 	switch pr.Status {
 	case exec.Exhausted:

@@ -81,20 +81,21 @@ type sparseSource struct {
 	n        int
 }
 
-func (s *sparseSource) Pull(c *memsim.Core, st *exectest.ChainState, now uint64) exec.PullResult {
+func (s *sparseSource) Pull(c *memsim.Core, st *exectest.ChainState, now uint64, pr *exec.PullResult) {
 	if s.released >= s.n {
-		return exec.PullResult{Status: exec.Exhausted}
+		pr.Status = exec.Exhausted
+		return
 	}
 	due := uint64(s.released) * s.gap
 	if due > now {
-		return exec.PullResult{Status: exec.Wait, NextArrival: due}
+		pr.Status, pr.NextArrival = exec.Wait, due
+		return
 	}
-	pr := s.MachineSource.Pull(c, st, now)
+	s.MachineSource.Pull(c, st, now, pr)
 	if pr.Status == exec.Pulled {
 		pr.Req.Admit = due
 		s.released++
 	}
-	return pr
 }
 
 func TestRunStreamIdlesBetweenSparseArrivals(t *testing.T) {

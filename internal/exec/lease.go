@@ -45,11 +45,12 @@ func (l *LeaseSource[S]) ProvisionedStages() int { return l.Src.ProvisionedStage
 
 // Pull implements Source: forward until the lease closes, then report
 // end-of-stream so the engine drains and hands control back.
-func (l *LeaseSource[S]) Pull(c *memsim.Core, s *S, now uint64) PullResult {
+func (l *LeaseSource[S]) Pull(c *memsim.Core, s *S, now uint64, pr *PullResult) {
 	if l.Quota <= 0 || (l.Gate != nil && !l.Gate()) {
-		return PullResult{Status: Exhausted}
+		pr.Status = Exhausted
+		return
 	}
-	pr := l.Src.Pull(c, s, now)
+	l.Src.Pull(c, s, now, pr)
 	switch pr.Status {
 	case Exhausted:
 		l.Exhausted = true
@@ -57,18 +58,15 @@ func (l *LeaseSource[S]) Pull(c *memsim.Core, s *S, now uint64) PullResult {
 		if l.NoWait {
 			l.Waiting = true
 			l.WaitUntil = pr.NextArrival
-			return PullResult{Status: Exhausted}
+			pr.Status = Exhausted
 		}
 	case Pulled:
 		l.Quota--
 	}
-	return pr
 }
 
-// Stage implements Source.
-func (l *LeaseSource[S]) Stage(c *memsim.Core, s *S, stage int) Outcome {
-	return l.Src.Stage(c, s, stage)
-}
+// Stager implements Source: the underlying source's.
+func (l *LeaseSource[S]) Stager() Stager[S] { return l.Src.Stager() }
 
 // Complete implements Source.
 func (l *LeaseSource[S]) Complete(req Request, done uint64) {

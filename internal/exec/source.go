@@ -42,7 +42,9 @@ const (
 	Exhausted
 )
 
-// PullResult is the outcome of one Source.Pull call.
+// PullResult is the outcome of one Source.Pull call. Pull fills it in place
+// rather than returning it: a struct this large is not kept in registers,
+// so a returned PullResult was copied through memory at every call layer.
 type PullResult struct {
 	Status PullStatus
 	// Out is stage 0's outcome (next stage, prefetch target), valid when
@@ -69,14 +71,25 @@ type Source[S any] interface {
 	// ProvisionedStages is the stage count GP and SPP provision for
 	// (Machine.ProvisionedStages of the underlying operator).
 	ProvisionedStages() int
-	// Pull admits the next available request at simulated cycle now and runs
-	// its code stage 0 into state s.
-	Pull(c *memsim.Core, s *S, now uint64) PullResult
-	// Stage executes the given code stage (>= 1) for an in-flight request,
-	// forwarding to the underlying machine.
-	Stage(c *memsim.Core, s *S, stage int) Outcome
+	// Pull admits the next available request at simulated cycle now, runs
+	// its code stage 0 into state s, and reports the result in *pr. It sets
+	// Status and the fields valid for that status; the others may keep
+	// values from an earlier pull.
+	Pull(c *memsim.Core, s *S, now uint64, pr *PullResult)
+	// Stager returns what executes code stages >= 1 of the requests Pull
+	// admits: the underlying machine. An engine reads it once per run and
+	// calls it for every later stage, so a stage costs the machine's own
+	// dynamic call however many sources wrap it (forwarding each call
+	// through a source would copy every Outcome once more per layer).
+	Stager() Stager[S]
 	// Complete records that the request finished at cycle done.
 	Complete(req Request, done uint64)
+}
+
+// Stager executes one code stage (>= 1) of an in-flight lookup. Every
+// Machine is a Stager.
+type Stager[S any] interface {
+	Stage(c *memsim.Core, s *S, stage int) Outcome
 }
 
 // MachineSource adapts a fixed Machine batch to the Source interface: every
@@ -91,7 +104,6 @@ type MachineSource[S any] struct {
 	OnComplete func(req Request, done uint64)
 
 	next int
-	n    int // M.NumLookups() when last read: Pull rereads it only at the bound
 }
 
 // NewMachineSource wraps a machine as an always-ready source.
@@ -103,23 +115,20 @@ func NewMachineSource[S any](m Machine[S]) *MachineSource[S] {
 func (ms *MachineSource[S]) ProvisionedStages() int { return ms.M.ProvisionedStages() }
 
 // Pull implements Source: the next lookup in index order, admitted at cycle 0.
-func (ms *MachineSource[S]) Pull(c *memsim.Core, s *S, now uint64) PullResult {
-	if ms.next >= ms.n {
-		if ms.n = ms.M.NumLookups(); ms.next >= ms.n {
-			return PullResult{Status: Exhausted}
-		}
+func (ms *MachineSource[S]) Pull(c *memsim.Core, s *S, now uint64, pr *PullResult) {
+	if ms.next >= ms.M.NumLookups() {
+		pr.Status = Exhausted
+		return
 	}
 	i := ms.next
 	ms.next++
-	out := ms.M.Init(c, s, i)
-	return PullResult{Status: Pulled, Out: out, Req: Request{Index: i}}
+	pr.Status = Pulled
+	pr.Out = ms.M.Init(c, s, i)
+	pr.Req = Request{Index: i}
 }
 
-// Stage implements Source. The engines skip it and call the machine
-// directly (see StagerOf).
-func (ms *MachineSource[S]) Stage(c *memsim.Core, s *S, stage int) Outcome {
-	return ms.M.Stage(c, s, stage)
-}
+// Stager implements Source: the machine itself.
+func (ms *MachineSource[S]) Stager() Stager[S] { return ms.M }
 
 // Complete implements Source.
 func (ms *MachineSource[S]) Complete(req Request, done uint64) {
@@ -149,23 +158,6 @@ func Remaining[S any](src Source[S]) int {
 		return f.Remaining()
 	}
 	return math.MaxInt
-}
-
-// Stager runs one code stage of an in-flight lookup: the method Machine and
-// Source share.
-type Stager[S any] interface {
-	Stage(c *memsim.Core, s *S, stage int) Outcome
-}
-
-// StagerOf returns what an engine calls to run src's code stages: the
-// machine of a MachineSource, whose Stage only forwards to it, so a batch
-// pays one dynamic call per stage rather than two; otherwise src itself.
-// Engines resolve it once per run.
-func StagerOf[S any](src Source[S]) Stager[S] {
-	if ms, ok := src.(*MachineSource[S]); ok {
-		return ms.M
-	}
-	return src
 }
 
 // FailKind classifies a request an engine abandoned instead of completing.

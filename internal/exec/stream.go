@@ -49,11 +49,8 @@ func getPipeSlots(n int) *[]pipeSlot { return GetPooled[pipeSlot](&pipeSlotPool,
 // Every engine takes an optional trace sink. All tracer methods are
 // nil-safe, so a nil tracer keeps the untraced behaviour and allocation
 // profile. Each engine counts down the request budget of a Finite source
-// (see Remaining) and stops pulling once it is spent. A MachineSource is
-// pulled through its concrete type and its code stages run on its machine
-// (StagerOf): through the Source interface, a call to a generic type's
-// method costs a method wrapper on top of the dynamic dispatch, a measurable
-// share of a batch run's host time.
+// (see Remaining) and stops pulling once it is spent, and runs every stage
+// after stage 0 on the source's Stager.
 
 // waitCycle returns the cycle an engine may idle until after a Wait pull,
 // guarding against a source that reports a non-future arrival.
@@ -80,19 +77,14 @@ func BaselineStream[S any](c *memsim.Core, src Source[S], tr *obs.CoreTrace) {
 	defer p.Pop()
 	admitF := p.Frame("admit")
 	left := Remaining(src)
-	st := StagerOf(src)
-	ms, _ := src.(*MachineSource[S])
+	st := src.Stager()
+	var pr PullResult
 	var s S
 	for left > 0 {
 		pullAt := c.Cycle()
 		c.Instr(CostLoopIter)
 		p.PushStage(0)
-		var pr PullResult
-		if ms != nil {
-			pr = ms.Pull(c, &s, c.Cycle())
-		} else {
-			pr = src.Pull(c, &s, c.Cycle())
-		}
+		src.Pull(c, &s, c.Cycle(), &pr)
 		p.Pop()
 		switch pr.Status {
 		case Exhausted:
@@ -166,8 +158,8 @@ func GroupPrefetchStream[S any](c *memsim.Core, src Source[S], group int, tr *ob
 		depth = 1
 	}
 	left := Remaining(src)
-	st := StagerOf(src)
-	ms, _ := src.(*MachineSource[S])
+	st := src.Stager()
+	var pr PullResult
 
 	states, putStates := GetStates[S](group)
 	defer putStates()
@@ -186,12 +178,7 @@ func GroupPrefetchStream[S any](c *memsim.Core, src Source[S], group int, tr *ob
 			pullAt := c.Cycle()
 			c.Instr(CostGPStage)
 			p.PushStage(0)
-			var pr PullResult
-			if ms != nil {
-				pr = ms.Pull(c, &states[g], c.Cycle())
-			} else {
-				pr = src.Pull(c, &states[g], c.Cycle())
-			}
+			src.Pull(c, &states[g], c.Cycle(), &pr)
 			p.Pop()
 			if pr.Status == Exhausted {
 				break
@@ -355,8 +342,8 @@ func SoftwarePipelineStream[S any](c *memsim.Core, src Source[S], inflight int, 
 		depth = 1
 	}
 	left := Remaining(src)
-	st := StagerOf(src)
-	ms, _ := src.(*MachineSource[S])
+	st := src.Stager()
+	var pr PullResult
 
 	states, putStates := GetStates[S](inflight)
 	defer putStates()
@@ -405,12 +392,7 @@ func SoftwarePipelineStream[S any](c *memsim.Core, src Source[S], inflight int, 
 				pullAt := c.Cycle()
 				c.Instr(CostSPPStage)
 				p.PushStage(0)
-				var pr PullResult
-				if ms != nil {
-					pr = ms.Pull(c, &states[j], c.Cycle())
-				} else {
-					pr = src.Pull(c, &states[j], c.Cycle())
-				}
+				src.Pull(c, &states[j], c.Cycle(), &pr)
 				p.Pop()
 				if pr.Status == Exhausted {
 					left = 0

@@ -119,19 +119,20 @@ type delayedSource struct {
 	released int
 }
 
-func (d *delayedSource) Pull(c *memsim.Core, s *exectest.ChainState, now uint64) exec.PullResult {
+func (d *delayedSource) Pull(c *memsim.Core, s *exectest.ChainState, now uint64, pr *exec.PullResult) {
 	if d.released >= len(d.arrivals) {
-		return exec.PullResult{Status: exec.Exhausted}
+		pr.Status = exec.Exhausted
+		return
 	}
 	if d.arrivals[d.released] > now {
-		return exec.PullResult{Status: exec.Wait, NextArrival: d.arrivals[d.released]}
+		pr.Status, pr.NextArrival = exec.Wait, d.arrivals[d.released]
+		return
 	}
-	pr := d.MachineSource.Pull(c, s, now)
+	d.MachineSource.Pull(c, s, now, pr)
 	if pr.Status == exec.Pulled {
 		pr.Req.Admit = d.arrivals[d.released]
 		d.released++
 	}
-	return pr
 }
 
 func TestStreamAdaptersIdleUntilArrivals(t *testing.T) {

@@ -31,15 +31,14 @@ type liveSource[S any] struct {
 	firstPoll uint64
 }
 
-func (l *liveSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult {
-	pr := l.Source.Pull(c, s, now)
+func (l *liveSource[S]) Pull(c *memsim.Core, s *S, now uint64, pr *exec.PullResult) {
+	l.Source.Pull(c, s, now, pr)
 	if pr.Status == exec.Exhausted {
 		if l.polls == 0 {
 			l.firstPoll = c.Stats().Instructions
 		}
 		l.polls++
 	}
-	return pr
 }
 
 // endOfStreamCase is one random workload: a chain or latch machine factory

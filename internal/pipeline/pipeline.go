@@ -357,7 +357,7 @@ func (b *Builder) build(spec buildSpec) *Pipeline {
 				func(c *memsim.Core, s *ops.ProbeState, r Row) exec.Outcome {
 					return m.InitKey(c, s, r.RID, sel.of(r), r.ProbePayload)
 				},
-				m.Stage, m.ProvisionedStages(), onDone)
+				m, m.ProvisionedStages(), onDone)
 		case kindBST:
 			m := &ops.BSTSearchMachine{Tree: d.tree, Out: col}
 			sel := d.sel
@@ -365,7 +365,7 @@ func (b *Builder) build(spec buildSpec) *Pipeline {
 				func(c *memsim.Core, s *ops.BSTState, r Row) exec.Outcome {
 					return m.InitKey(c, s, r.RID, sel.of(r), r.ProbePayload)
 				},
-				m.Stage, m.ProvisionedStages(), onDone)
+				m, m.ProvisionedStages(), onDone)
 		case kindAggregate:
 			agg := d.agg
 			if spec.sinkAgg != nil {
@@ -377,7 +377,7 @@ func (b *Builder) build(spec buildSpec) *Pipeline {
 				func(c *memsim.Core, s *ops.GroupByState, r Row) exec.Outcome {
 					return m.InitKey(c, s, r.RID, sel.of(r), r.ProbePayload)
 				},
-				m.Stage, m.ProvisionedStages(), onDone)
+				m, m.ProvisionedStages(), onDone)
 		}
 		p.stages = append(p.stages, st)
 	}

@@ -22,9 +22,9 @@ type pipeSource[S any] struct {
 	in  *pipe
 
 	// initRow is the operator's stage 0 over a streamed-in row (the machine's
-	// InitKey), stage its ordinary stage dispatch.
+	// InitKey), stager the operator machine that runs its later stages.
 	initRow   func(c *memsim.Core, s *S, r Row) exec.Outcome
-	stage     func(c *memsim.Core, s *S, stage int) exec.Outcome
+	stager    exec.Stager[S]
 	provision int
 
 	// onDone, if non-nil, observes completions (the sink stage of a serving
@@ -38,15 +38,18 @@ func (ps *pipeSource[S]) ProvisionedStages() int { return ps.provision }
 // Pull implements exec.Source: pop a buffered row, or pump the upstream
 // stage until one appears, the stream ends, or the upstream root reports
 // that nothing arrives before a future cycle.
-func (ps *pipeSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult {
+func (ps *pipeSource[S]) Pull(c *memsim.Core, s *S, now uint64, pr *exec.PullResult) {
 	for {
 		if ps.in.depth() > 0 {
 			r := ps.in.pop(c)
-			out := ps.initRow(c, s, r)
-			return exec.PullResult{Status: exec.Pulled, Out: out, Req: exec.Request{Index: r.RID, Admit: r.Admit}}
+			pr.Status = exec.Pulled
+			pr.Out = ps.initRow(c, s, r)
+			pr.Req = exec.Request{Index: r.RID, Admit: r.Admit}
+			return
 		}
 		if ps.in.done {
-			return exec.PullResult{Status: exec.Exhausted}
+			pr.Status = exec.Exhausted
+			return
 		}
 		waitUntil := ps.p.pump(c, ps.idx-1)
 		if ps.in.depth() > 0 {
@@ -55,7 +58,8 @@ func (ps *pipeSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult 
 		if waitUntil > 0 {
 			// The chain bottomed out at a root with pending future arrivals:
 			// propagate the wait downstream so only the sink engine idles.
-			return exec.PullResult{Status: exec.Wait, NextArrival: waitUntil}
+			pr.Status, pr.NextArrival = exec.Wait, waitUntil
+			return
 		}
 		// The lease ran (consuming upstream input) but every row filtered
 		// out before reaching this pipe; loop and pump again. Progress is
@@ -64,10 +68,8 @@ func (ps *pipeSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult 
 	}
 }
 
-// Stage implements exec.Source.
-func (ps *pipeSource[S]) Stage(c *memsim.Core, s *S, stage int) exec.Outcome {
-	return ps.stage(c, s, stage)
-}
+// Stager implements exec.Source: the operator machine.
+func (ps *pipeSource[S]) Stager() exec.Stager[S] { return ps.stager }
 
 // Complete implements exec.Source.
 func (ps *pipeSource[S]) Complete(req exec.Request, done uint64) {
@@ -151,13 +153,13 @@ func makeRunner[S any](st *stageExec, src exec.Source[S]) stageRunner {
 // inbound pipe and feeds them to the operator's InitKey.
 func wirePipeStage[S any](p *Pipeline, st *stageExec, idx int,
 	initRow func(c *memsim.Core, s *S, r Row) exec.Outcome,
-	stage func(c *memsim.Core, s *S, stage int) exec.Outcome,
+	stager exec.Stager[S],
 	provision int,
 	onDone func(req exec.Request, done uint64),
 ) {
 	src := &pipeSource[S]{
 		p: p, idx: idx, in: st.in,
-		initRow: initRow, stage: stage, provision: provision,
+		initRow: initRow, stager: stager, provision: provision,
 		onDone: onDone,
 	}
 	st.run = makeRunner[S](st, src)
@@ -171,11 +173,11 @@ func wirePipeStage[S any](p *Pipeline, st *stageExec, idx int,
 		// overwhelmingly warm. A large structure stays honest: its
 		// second-half keys land in buckets the warm pass never touched.
 		if warm := len(rows) / 2; warm > 0 {
-			wm := &rowsMachine[S]{rows: rows[:warm], initRow: initRow, stage: stage, provision: provision}
+			wm := &rowsMachine[S]{rows: rows[:warm], initRow: initRow, stage: stager.Stage, provision: provision}
 			ops.RunMachine(c, wm, ops.Baseline, ops.Params{})
 			rows = rows[warm:]
 		}
-		m := &rowsMachine[S]{rows: rows, initRow: initRow, stage: stage, provision: provision}
+		m := &rowsMachine[S]{rows: rows, initRow: initRow, stage: stager.Stage, provision: provision}
 		adapt.Run[S](c, m, ctl)
 	}
 }

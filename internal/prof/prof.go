@@ -175,6 +175,12 @@ func (p *CoreProf) PushStage(stage int) {
 	if p == nil {
 		return
 	}
+	p.pushStage(stage)
+}
+
+// pushStage is PushStage's body, kept out of line so the nil check inlines
+// at every engine's stage visit.
+func (p *CoreProf) pushStage(stage int) {
 	for len(p.stageFrames) <= stage {
 		p.stageFrames = append(p.stageFrames, p.intern(fmt.Sprintf("stage %d", len(p.stageFrames))))
 	}

@@ -394,7 +394,7 @@ func (q *QueueSource[S]) ProvisionedStages() int { return q.m.ProvisionedStages(
 // runnable entry — injected recovery dispatches first, then the queue head.
 // Entries whose deadline expired while queued, and copies of requests a
 // sibling already resolved, are skipped (each skip still pays the pop cost).
-func (q *QueueSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult {
+func (q *QueueSource[S]) Pull(c *memsim.Core, s *S, now uint64, pr *exec.PullResult) {
 	q.admit(c, now)
 	q.rec.sampleDepth(q.depth())
 	q.tr.QueueDepth(now, q.depth())
@@ -409,10 +409,11 @@ func (q *QueueSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult 
 			q.timeoutEntry(e.idx, e.arrival, now)
 			continue
 		}
-		req := exec.Request{Index: int(e.idx), Admit: e.arrival}
 		q.rec.recordQueueWait(now - e.ready)
-		out := q.m.Init(c, s, int(e.idx))
-		return exec.PullResult{Status: exec.Pulled, Out: out, Req: req}
+		pr.Status = exec.Pulled
+		pr.Out = q.m.Init(c, s, int(e.idx))
+		pr.Req = exec.Request{Index: int(e.idx), Admit: e.arrival}
+		return
 	}
 	for q.depth() > 0 {
 		pos := q.ring[q.head&q.mask]
@@ -427,10 +428,11 @@ func (q *QueueSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult 
 			q.timeoutEntry(idx, arrival, now)
 			continue
 		}
-		req := exec.Request{Index: int(idx), Admit: arrival}
 		q.rec.recordQueueWait(now - arrival)
-		out := q.m.Init(c, s, int(idx))
-		return exec.PullResult{Status: exec.Pulled, Out: out, Req: req}
+		pr.Status = exec.Pulled
+		pr.Out = q.m.Init(c, s, int(idx))
+		pr.Req = exec.Request{Index: int(idx), Admit: arrival}
+		return
 	}
 	wait, has := uint64(0), false
 	if q.next < len(q.arrivals) {
@@ -442,22 +444,22 @@ func (q *QueueSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult 
 		}
 	}
 	if has {
-		return exec.PullResult{Status: exec.Wait, NextArrival: wait}
+		pr.Status, pr.NextArrival = exec.Wait, wait
+		return
 	}
 	if q.router != nil && !q.closed {
 		h := q.horizon
 		if h <= now {
 			h = now + 1
 		}
-		return exec.PullResult{Status: exec.Wait, NextArrival: h}
+		pr.Status, pr.NextArrival = exec.Wait, h
+		return
 	}
-	return exec.PullResult{Status: exec.Exhausted}
+	pr.Status = exec.Exhausted
 }
 
-// Stage implements exec.Source.
-func (q *QueueSource[S]) Stage(c *memsim.Core, s *S, stage int) exec.Outcome {
-	return q.m.Stage(c, s, stage)
-}
+// Stager implements exec.Source: the served machine.
+func (q *QueueSource[S]) Stager() exec.Stager[S] { return q.m }
 
 // Complete implements exec.Source: record admission→completion latency. With
 // a router, only the first completion of a request counts; late duplicates

@@ -41,6 +41,10 @@ type PullResult = exec.PullResult
 // and report completions back for latency accounting.
 type Source[S any] = exec.Source[S]
 
+// Stager runs the code stages (>= 1) of a Source's requests; a Source's
+// Stager method returns its underlying Machine, which is one.
+type Stager[S any] = exec.Stager[S]
+
 // MachineSource adapts a fixed Machine batch to the Source interface (every
 // lookup admitted at cycle 0). Every batch run (Run, RunWith, RunBaseline,
 // ...) is a streaming engine over one.
@@ -132,7 +136,7 @@ func RunSoftwarePipelineStream[S any](c *Core, src Source[S], inflight int) {
 // source on one core — the streaming counterpart of RunWith. AMAC returns
 // its scheduler stats; the other engines report only through the source.
 func RunSourceWith[S any](c *Core, src Source[S], tech Technique, p Params) RunStats {
-	return ops.RunSource(c, src, tech, p.Options())
+	return ops.RunSource(c, src, tech, core.Options{Width: p.Window})
 }
 
 // ServiceWorker describes one worker of a sharded streaming service: its
