@@ -79,11 +79,13 @@ type FaultyServiceOptions = serve.FaultyOptions
 type FaultInfo = serve.FaultInfo
 
 // RunFaultyService executes a sharded streaming service under deterministic
-// fault injection: the same share-nothing per-worker simulations as
-// RunService, but stepped by one coordinator in slices of the simulated
-// clock so the chaos timeline, deadlines, hedging, breakers and brownout
-// apply at identical simulated instants on every execution. A zero-fault,
-// zero-policy run is bit-identical to RunService on the same configuration.
+// fault injection. It is the coordinator RunService also runs on: with a
+// chaos schedule or a recovery policy it steps the share-nothing per-worker
+// simulations in rounds of the simulated clock, so the chaos timeline,
+// deadlines, hedging, breakers and brownout apply at identical simulated
+// instants on every execution. A zero-fault, zero-policy run is
+// bit-identical to RunService on the same configuration; unlike RunService,
+// its result always carries a Faults summary.
 func RunFaultyService[S any](opts FaultyServiceOptions, workers []ServiceWorker[S]) ServiceResult {
 	return serve.RunFaulty(opts, workers)
 }

@@ -35,10 +35,10 @@ const DefaultChunkBytes = 1 << 20
 
 // Arena is a bump allocator over a simulated address space. The zero address
 // is never handed out, so data structures can use 0 as a nil pointer.
-// An Arena is not safe for concurrent use, including read-only use: every
-// access updates the last-touched-chunk cache. The parallel execution layer
-// gives each worker a private arena (see ops.PartitionJoin), which is the
-// supported sharing model.
+// Reads write nothing, so any number of goroutines may read one arena
+// concurrently; allocation and writes need exclusive access. The parallel
+// execution layer gives each worker that writes a private arena (see
+// ops.PartitionJoin).
 type Arena struct {
 	chunkBytes uint64
 	chunkShift uint
@@ -47,12 +47,6 @@ type Arena struct {
 	top        uint64 // next free address
 	allocs     uint64
 	wasted     uint64 // bytes lost to alignment and chunk padding
-
-	// lastIdx/lastBuf cache the most recently touched chunk: consecutive
-	// accesses overwhelmingly land in one chunk, and chunk backing arrays
-	// never move once allocated, so the cached slice header stays valid.
-	lastIdx uint64
-	lastBuf []byte
 }
 
 // New returns an empty arena with the default chunk size.
@@ -70,8 +64,7 @@ func NewWithChunkSize(chunkBytes int) *Arena {
 		chunkShift: uint(bits.TrailingZeros64(uint64(chunkBytes))),
 		chunkMask:  uint64(chunkBytes) - 1,
 		// Skip the first cache line so address 0 is never allocated.
-		top:     memsim.LineSize,
-		lastIdx: ^uint64(0),
+		top: memsim.LineSize,
 	}
 }
 
@@ -166,11 +159,7 @@ func (a *Arena) slice(addr Addr, size int) []byte {
 	if pos == 0 || size <= 0 || pos+uint64(size) > a.top || off+uint64(size) > a.chunkBytes {
 		a.accessPanic(addr, size)
 	}
-	if idx := pos >> a.chunkShift; idx != a.lastIdx {
-		a.lastIdx = idx
-		a.lastBuf = a.chunks[idx]
-	}
-	return a.lastBuf[off : off+uint64(size)]
+	return a.chunks[pos>>a.chunkShift][off : off+uint64(size)]
 }
 
 // accessPanic reports an invalid access; it is kept out of slice so the fast

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -165,5 +166,42 @@ func TestSizeGrowsMonotonically(t *testing.T) {
 			t.Fatal("Size must grow with every allocation")
 		}
 		prev = a.Size()
+	}
+}
+
+// TestConcurrentReads pins the sharing rule the parallel layer relies on:
+// reads write nothing, so several goroutines may read one arena at once.
+// Each reader walks the chunks in a different order, so under -race any
+// per-read bookkeeping shared between readers shows up as a data race.
+func TestConcurrentReads(t *testing.T) {
+	const chunk, chunks, readers = 4 * memsim.LineSize, 8, 4
+	a := NewWithChunkSize(chunk)
+	var addrs []Addr
+	for i := 0; i < chunks*4; i++ {
+		p := a.AllocLines(1)
+		a.WriteU64(p, uint64(i))
+		addrs = append(addrs, p)
+	}
+	var wg sync.WaitGroup
+	errs := make([]int, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for rep := 0; rep < 200; rep++ {
+				for k := range addrs {
+					i := (k*(2*r+1) + r) % len(addrs)
+					if a.ReadU64(addrs[i]) != uint64(i) {
+						errs[r]++
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r, n := range errs {
+		if n != 0 {
+			t.Fatalf("reader %d saw %d wrong values", r, n)
+		}
 	}
 }

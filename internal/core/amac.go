@@ -209,18 +209,6 @@ func (p *widthProbe) sample(c *memsim.Core, admit, completed int) exec.Window {
 	return w
 }
 
-// issue forwards a stage's prefetch request to the core.
-func issue(c *memsim.Core, o exec.Outcome) {
-	if o.Prefetch == 0 {
-		return
-	}
-	n := o.PrefetchBytes
-	if n <= 0 {
-		n = 1
-	}
-	c.PrefetchSpan(o.Prefetch, n)
-}
-
 // RunStats summarises one AMAC execution for tests and reports.
 type RunStats struct {
 	// Width is the circular-buffer size the run started with.

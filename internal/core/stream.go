@@ -233,7 +233,7 @@ func (e *StreamEngine[S]) tryFill(k int) bool {
 			e.exhausted = true
 		}
 		e.stats.Initiated++
-		issue(c, pr.Out)
+		exec.IssuePrefetch(c, pr.Out)
 		e.tr.SlotStart(pullAt, k, pr.Req.Index)
 		if pr.Out.Prefetch != 0 {
 			e.tr.SlotPrefetch(c.Cycle(), k)
@@ -399,7 +399,7 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 		}
 		e.tr.StageVisit(visitAt, c.Cycle(), k, stage)
 		if !out.Done {
-			issue(c, out)
+			exec.IssuePrefetch(c, out)
 			if out.Prefetch != 0 {
 				e.tr.SlotPrefetch(c.Cycle(), k)
 			}

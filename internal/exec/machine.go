@@ -115,8 +115,8 @@ func getOutcomes(n int) *[]Outcome { return GetPooled[Outcome](&outcomePool, n) 
 // getFlags returns a zeroed bool buffer of length n from the pool.
 func getFlags(n int) *[]bool { return GetPooled[bool](&flagPool, n) }
 
-// issuePrefetch issues the prefetch requested by an outcome, if any.
-func issuePrefetch(c *memsim.Core, o Outcome) {
+// IssuePrefetch issues the prefetch requested by an outcome, if any.
+func IssuePrefetch(c *memsim.Core, o Outcome) {
 	if o.Prefetch == 0 {
 		return
 	}

@@ -195,7 +195,7 @@ func GroupPrefetchStream[S any](c *memsim.Core, src Source[S], group int, tr *ob
 				tr.GroupStart(pullAt, group)
 			}
 			tr.SlotStart(pullAt, g, pr.Req.Index)
-			issuePrefetch(c, pr.Out)
+			IssuePrefetch(c, pr.Out)
 			current[g] = pr.Out
 			done[g] = pr.Out.Done
 			reqs[g] = pr.Req
@@ -234,7 +234,7 @@ func GroupPrefetchStream[S any](c *memsim.Core, src Source[S], group int, tr *ob
 					continue
 				}
 				tr.StageVisit(visitAt, c.Cycle(), j, stage)
-				issuePrefetch(c, out)
+				IssuePrefetch(c, out)
 				current[j] = out
 				if out.Done {
 					done[j] = true
@@ -404,7 +404,7 @@ func SoftwarePipelineStream[S any](c *memsim.Core, src Source[S], inflight int, 
 				}
 				left--
 				tr.SlotStart(pullAt, j, pr.Req.Index)
-				issuePrefetch(c, pr.Out)
+				IssuePrefetch(c, pr.Out)
 				slot.busy = true
 				slot.done = pr.Out.Done
 				slot.age = 1
@@ -440,7 +440,7 @@ func SoftwarePipelineStream[S any](c *memsim.Core, src Source[S], inflight int, 
 					tr.SlotRetry(c.Cycle(), j, stage)
 				} else {
 					tr.StageVisit(visitAt, c.Cycle(), j, stage)
-					issuePrefetch(c, out)
+					IssuePrefetch(c, out)
 					slot.current = out
 					if out.Done {
 						slot.done = true

@@ -18,19 +18,19 @@
 // open-loop arrivals near saturation it is the difference between a flat
 // p99 and an admission queue that grows without bound.
 //
-// Service runs a sharded multi-worker instance of the whole arrangement on
-// exec.RunParallel: every worker owns a private core, machine, queue and
-// recorder, so the simulation stays deterministic under -race.
-//
-// RunFaulty is the fault-tolerant variant of that sharded service: a
-// single-goroutine coordinator steps every shard's engine over shared time
-// slices so that host-side policy — package fault's scripted episodes
-// (slowdown, freeze, crash, arrival spikes), per-request deadlines enforced
-// in queue and in flight, capped-backoff retry, hedged re-dispatch with
-// first-completion-wins dedup, a per-shard circuit breaker and the SLO
-// brownout — can act between slices on the simulated clock. With no faults
-// and no policies configured, RunFaulty is bit-identical to Run; a timed-out
-// slot is drained through the engine's shrink machinery, never abandoned,
-// and the Recorder splits outcomes into served/timed-out/failed/shed/dropped
-// with retry/hedge/reroute activity counted separately.
+// RunFaulty is the one coordinator of a sharded multi-worker instance of the
+// whole arrangement: every worker owns a private core, machine, queue and
+// recorder, so the simulation stays deterministic under -race. It steps the
+// shards in rounds of the simulated clock so that host-side policy —
+// package fault's scripted episodes (slowdown, freeze, crash, arrival
+// spikes), capped-backoff retry, hedged re-dispatch with
+// first-completion-wins dedup, a per-shard circuit breaker and the routed
+// SLO brownout — can act at round edges; per-request deadlines are enforced
+// in queue and in flight. With nothing ticking at round edges the run is a
+// single round. The shards of a round run on goroutines unless a router
+// couples them, in which case they run in shard order. Run is RunFaulty with
+// no faults and no policies. A timed-out slot is drained through the
+// engine's shrink machinery, never abandoned, and the Recorder splits
+// outcomes into served/timed-out/failed/shed/dropped with retry/hedge/
+// reroute activity counted separately.
 package serve

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 
+	"amac/internal/adapt"
 	"amac/internal/core"
 	"amac/internal/exec"
 	"amac/internal/fault"
@@ -41,15 +43,6 @@ type FaultyOptions struct {
 	// round with the shard's copy outcomes; an open breaker redirects the
 	// shard's arrivals to healthy siblings until probes succeed.
 	Breaker *fault.BreakerConfig
-
-	// SLO, when enabled, drives a per-shard brownout: the sliding p99
-	// against the budget sheds request classes at admission.
-	SLO fault.SLO
-
-	// Slice is the coordinator round length in cycles (default 4096):
-	// engines run concurrently in Slice-sized time slices, and fault
-	// boundaries, hedging, breakers and brownouts apply at round edges.
-	Slice uint64
 
 	// Sched maps each worker's schedule positions to machine lookup
 	// indices. Required whenever a recovery policy (retry, hedge, breaker)
@@ -342,46 +335,63 @@ func (r *router) breakerRound(t uint64) {
 	}
 }
 
-// RunFaulty executes the sharded streaming service under deterministic fault
-// injection: the same share-nothing per-worker simulations as Run, but
-// stepped by one coordinator goroutine in Slice-sized time slices of the
-// simulated clock, so the chaos timeline, deadlines, hedging, breakers and
-// brownout apply at identical simulated instants on every execution. The
-// engine pauses charge nothing simulated, so a zero-fault, zero-policy
-// RunFaulty is bit-identical to Run on the same configuration.
+// roundCycles is the coordinator's round length in simulated cycles when
+// something ticks at round edges: fault boundaries, hedging, breakers and a
+// routed brownout apply every roundCycles cycles.
+const roundCycles = 4096
+
+// RunFaulty executes the sharded streaming service, optionally under
+// deterministic fault injection and recovery policies. It is the package's
+// one shard coordinator: every worker serves its own machine from its own
+// queue-fed source on a private core, and the coordinator steps the shards
+// in rounds of the simulated clock, so the chaos timeline, deadlines,
+// hedging, breakers and brownout apply at identical simulated instants on
+// every execution. Rounds exist only when something ticks at their edges —
+// a fault schedule or a router (retry, hedge or breaker); otherwise the run
+// is one round to the end of the stream. Pausing an engine at a round edge
+// charges nothing simulated, so the round length never changes a result.
 //
-// RunFaulty requires the AMAC engine (timed-out and aborted slots reuse its
-// shrink-drain machinery) and a non-adaptive configuration.
+// The shards of a round run concurrently on goroutines unless a router
+// couples them (it injects recovery traffic across shards mid-round), in
+// which case they run in shard order. Either way the result is
+// deterministic, because concurrent shards share nothing mutable.
+//
+// The socket models are recycled (memsim.AcquireSystem), so a load sweep
+// reuses one System+Core pair per worker instead of rebuilding megabytes of
+// cache metadata per point; a recycled pair is reset to exactly the
+// fresh-construction state, so results are bit-identical either way.
+//
+// Faults, deadlines and recovery policies require the AMAC engine
+// (timed-out and aborted slots reuse its shrink-drain machinery) and a
+// non-adaptive configuration.
 func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 	n := len(workers)
 	if n == 0 {
 		return Result{}
 	}
-	if opts.Technique != ops.AMAC {
-		panic("serve: RunFaulty requires the AMAC engine")
-	}
-	if opts.Adaptive != nil {
-		panic("serve: RunFaulty does not support adaptive control")
-	}
 	routed := opts.routed()
+	if opts.Faults != nil || opts.Deadline != 0 || routed {
+		if opts.Technique != ops.AMAC {
+			panic("serve: faults, deadlines and recovery policies require the AMAC engine")
+		}
+		if opts.Adaptive != nil {
+			panic("serve: faults, deadlines and recovery policies do not support adaptive control")
+		}
+	}
 	if routed && opts.Sched == nil {
 		panic("serve: recovery policies need a Sched map into a shared index space")
 	}
-	slice := opts.Slice
-	if slice == 0 {
-		slice = 4096
-	}
+	rounds := routed || opts.Faults != nil
 
 	// Per-shard chaos timelines; spikes are pre-applied to the arrival
 	// schedules (compression toward the episode start: a burst then a lull,
 	// same total load).
-	eps := make([][]fault.Episode, n)
 	arr := make([][]uint64, n)
+	timelines := make([]*fault.Timeline, n)
 	for w := 0; w < n; w++ {
-		if opts.Faults != nil {
-			eps[w] = opts.Faults.ForShard(w)
-		}
-		arr[w] = fault.ApplySpikes(workers[w].Arrivals, eps[w])
+		eps := opts.Faults.ForShard(w)
+		arr[w] = fault.ApplySpikes(workers[w].Arrivals, eps)
+		timelines[w] = fault.NewTimeline(eps)
 	}
 
 	pooled := make([]*memsim.PooledSystem, n)
@@ -389,6 +399,7 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 	sources := make([]*QueueSource[S], n)
 	trs := make([]*obs.CoreTrace, n)
 	lws := make([]*obs.LatencyWindow, n)
+	brown := make([]*fault.Brownout, n)
 	shared := opts.Hardware.ShareLLC(n)
 	for w := 0; w < n; w++ {
 		pooled[w] = memsim.AcquireSystem(shared)
@@ -400,13 +411,23 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		cores[w].ResetStats()
 		cores[w].SetProfiler(opts.Profile.Core(fmt.Sprintf("worker %d", w)))
 		sources[w] = NewQueueSource(workers[w].Machine, arr[w], opts.QueueCap, opts.Policy, nil)
+		// Tracks register here, in worker order on one goroutine, so the
+		// exported trace's process layout is deterministic regardless of the
+		// goroutine schedule. Metrics without tracing still needs a CoreTrace
+		// as the width-gauge holder; an unregistered discard core serves.
 		trs[w] = opts.Trace.Core(fmt.Sprintf("worker %d", w))
 		if trs[w] == nil && opts.Metrics != nil {
 			trs[w] = obs.NewDiscardCore()
 		}
 		sources[w].SetTrace(trs[w])
-		lws[w] = obs.NewLatencyWindow(0)
-		sources[w].SetLatencyWindow(lws[w])
+		if opts.Metrics != nil || opts.SLO.Enabled() {
+			lws[w] = obs.NewLatencyWindow(0)
+			sources[w].SetLatencyWindow(lws[w])
+		}
+		if opts.SLO.Enabled() {
+			brown[w] = fault.NewBrownout(opts.SLO)
+			sources[w].SetBrownout(brown[w])
+		}
 		sources[w].SetDeadline(opts.Deadline)
 		if opts.Sched != nil {
 			sources[w].SetSchedule(opts.Sched[w])
@@ -430,15 +451,6 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 				return float64(stall) / float64(busy)
 			})
 			c.SetCycleHook(opts.Metrics.Interval(), cm.Tick)
-		}
-	}
-
-	var brown []*fault.Brownout
-	if opts.SLO.Enabled() {
-		brown = make([]*fault.Brownout, n)
-		for w := range brown {
-			brown[w] = fault.NewBrownout(opts.SLO)
-			sources[w].SetBrownout(brown[w])
 		}
 	}
 
@@ -480,22 +492,51 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		r.reqs = make([]reqState, total)
 	}
 
-	engines := make([]*core.StreamEngine[S], n)
-	for w := 0; w < n; w++ {
-		engines[w] = core.NewStreamEngine(cores[w], sources[w],
-			core.Options{Width: opts.Window, Trace: trs[w], Deadline: opts.Deadline})
+	// One shard step runs a shard up to the round edge. AMAC runs as a
+	// resumable engine; the batch-boundary engines and adaptive control only
+	// ever see one-round runs, so they run to the end of the stream.
+	sched := make([]core.RunStats, n)
+	engDone := make([]bool, n)
+	var engines []*core.StreamEngine[S]
+	var ctls []*adapt.Controller
+	switch {
+	case opts.Adaptive != nil:
+		ctls = make([]*adapt.Controller, n)
+		for w := range ctls {
+			ctls[w] = adapt.NewController(*opts.Adaptive)
+			ctls[w].SetTrace(trs[w])
+			if b := brown[w]; b != nil {
+				ctls[w].SetTailBias(func() bool { return b.Level() > 0 })
+			}
+		}
+	case opts.Technique == ops.AMAC:
+		engines = make([]*core.StreamEngine[S], n)
+		for w := range engines {
+			engines[w] = core.NewStreamEngine(cores[w], sources[w],
+				core.Options{Width: opts.Window, Trace: trs[w], Deadline: opts.Deadline})
+		}
+	}
+	step := func(w int, t uint64) {
+		switch {
+		case ctls != nil:
+			sched[w] = adapt.RunStream(cores[w], sources[w], ctls[w], sources[w].Depth)
+			engDone[w] = true
+		case engines != nil:
+			sources[w].setHorizon(t)
+			engDone[w] = engines[w].Run(t)
+		default:
+			sched[w] = ops.RunSource(cores[w], sources[w], opts.Technique,
+				core.Options{Width: opts.Window, Trace: trs[w]})
+			engDone[w] = true
+		}
 	}
 
-	timelines := make([]*fault.Timeline, n)
-	for w := 0; w < n; w++ {
-		timelines[w] = fault.NewTimeline(eps[w])
-	}
 	downUntil := make([]uint64, n)
-	engDone := make([]bool, n)
 	infos := make([]FaultInfo, n)
 	closed := false
 
 	baseLat := cores[0].MemLatency()
+	var wg sync.WaitGroup
 	for {
 		allDone := true
 		for w := 0; w < n; w++ {
@@ -507,12 +548,11 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		if allDone {
 			break
 		}
-		var t uint64
-		if closed {
-			// Everything is resolved: let the engines drain unbounded.
-			t = ^uint64(0)
-		} else {
-			t = timelinesNext(cores, slice)
+		// With nothing ticking at round edges the run is one round; once a
+		// routed run is resolved, the engines drain unbounded.
+		t := ^uint64(0)
+		if rounds && !closed {
+			t = nextRoundEdge(cores)
 		}
 		// Fault boundaries first, in shard order, then thaw.
 		for w := 0; w < n; w++ {
@@ -565,30 +605,39 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 				}
 			}
 		}
-		// Run every live engine up to the round edge, in shard order.
+		// Run every live shard up to the round edge: in shard order when a
+		// router couples them, otherwise concurrently.
 		for w := 0; w < n; w++ {
 			if engDone[w] || down[w] {
 				continue
 			}
-			sources[w].setHorizon(t)
-			engDone[w] = engines[w].Run(t)
+			if r != nil {
+				step(w, t)
+				continue
+			}
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				step(w, t)
+			}(w)
 		}
-		// Recovery policies tick at the round edge. After close every request
-		// is resolved, so the unbounded drain round has nothing to route —
-		// ticking it would only stamp sentinel-time transitions into the
-		// breaker log.
+		wg.Wait()
+		// Recovery policies and the brownout tick at the round edge. After
+		// close every request is resolved, so the unbounded drain round has
+		// nothing to route — ticking it would only stamp sentinel-time
+		// transitions into the breaker log. An unrouted run's queues observe
+		// their own brownouts as requests arrive.
 		if r != nil && !closed {
 			r.hedgeScan(t)
 			r.breakerRound(t)
 		}
-		if brown != nil {
-			for w := 0; w < n; w++ {
-				lvl, changed := brown[w].Observe(lws[w].Quantile(0.99))
-				if changed {
-					trs[w].Brownout(t, lvl)
+		if r != nil {
+			for w, b := range brown {
+				if b == nil {
+					continue
 				}
-				if lvl > infos[w].MaxShedLevel {
-					infos[w].MaxShedLevel = lvl
+				if lvl, changed := b.Observe(lws[w].Quantile(0.99)); changed {
+					trs[w].Brownout(t, lvl)
 				}
 			}
 		}
@@ -610,11 +659,15 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 	}
 
 	res := Result{Faults: &FaultInfo{}}
-	sched := make([]core.RunStats, n)
+	if ctls != nil {
+		res.Adapt = &adapt.Info{}
+	}
 	perStats := make([]memsim.Stats, n)
 	for w := 0; w < n; w++ {
-		sched[w] = engines[w].Stats()
-		engines[w].Close()
+		if engines != nil {
+			sched[w] = engines[w].Stats()
+			engines[w].Close()
+		}
 		perStats[w] = cores[w].Stats()
 	}
 	res.Stats = memsim.MergeParallel(perStats)
@@ -623,6 +676,9 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		if r != nil && r.breakers != nil {
 			infos[w].Breaker = append(infos[w].Breaker, r.breakers[w].Transitions()...)
 		}
+		if brown[w] != nil {
+			infos[w].MaxShedLevel = brown[w].MaxLevel()
+		}
 		info := infos[w]
 		wr := WorkerResult{
 			Stats:   perStats[w],
@@ -630,25 +686,30 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 			Sched:   sched[w],
 			Faults:  &info,
 		}
+		if ctls != nil {
+			ai := ctls[w].Info()
+			wr.Adapt = &ai
+			res.Adapt.Merge(ai)
+		}
 		res.PerWorker = append(res.PerWorker, wr)
 		res.Latency.Merge(sources[w].Recorder())
 		res.Faults.Merge(&info)
 		sources[w].Close()
-		cores[w].SetCycleHook(0, nil)
+		cores[w].SetCycleHook(0, nil) // pooled core: never leak a hook or profiler past the run
 		cores[w].SetProfiler(nil)
 		pooled[w].Release()
 	}
 	return res
 }
 
-// timelinesNext picks the next round edge: one slice past the most advanced
-// live core (so rounds always make progress even after long idle jumps).
-func timelinesNext(cores []*memsim.Core, slice uint64) uint64 {
+// nextRoundEdge picks the next round edge: one round past the most advanced
+// core (so rounds always make progress even after long idle jumps).
+func nextRoundEdge(cores []*memsim.Core) uint64 {
 	var maxC uint64
 	for _, c := range cores {
 		if cy := c.Cycle(); cy > maxC {
 			maxC = cy
 		}
 	}
-	return (maxC/slice + 1) * slice
+	return (maxC/roundCycles + 1) * roundCycles
 }

@@ -1,9 +1,12 @@
 package serve_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"amac/internal/adapt"
 	"amac/internal/core"
 	"amac/internal/exec/exectest"
 	"amac/internal/fault"
@@ -96,10 +99,45 @@ func faultyWorkers(n, W int, period uint64, hops int) ([]serve.Worker[exectest.C
 	return workers, sched
 }
 
-// TestRunFaultyZeroConfigMatchesRun pins the coordinator's cornerstone: with
-// no faults and no recovery policies, RunFaulty's time-sliced execution is
-// bit-identical to Run's free-running workers.
-func TestRunFaultyZeroConfigMatchesRun(t *testing.T) {
+// noopSlow returns a fault schedule of two Slow episodes per shard with
+// Factor 1: they change no latency, but a fault schedule makes the
+// coordinator step the shards in rounds instead of one run to the end.
+func noopSlow(workers int) *fault.Schedule {
+	var eps []fault.Episode
+	for _, start := range []uint64{3000, 20000} {
+		for w := 0; w < workers; w++ {
+			eps = append(eps, fault.Episode{Kind: fault.Slow, Shard: w, Start: start, Dur: 9000, Factor: 1})
+		}
+	}
+	return &fault.Schedule{Episodes: eps}
+}
+
+// sameRun fails the test unless two service runs agree on every simulated
+// result: merged and per-worker core stats, latency recorders and AMAC
+// scheduler stats.
+func sameRun(t *testing.T, label string, got, want serve.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Fatalf("%s: stats diverged:\n got %+v\nwant %+v", label, got.Stats, want.Stats)
+	}
+	if !reflect.DeepEqual(got.Latency, want.Latency) {
+		t.Fatalf("%s: latency recorders diverged:\n got %v\nwant %v", label, &got.Latency, &want.Latency)
+	}
+	if !reflect.DeepEqual(got.Sched, want.Sched) {
+		t.Fatalf("%s: scheduler stats diverged:\n got %+v\nwant %+v", label, got.Sched, want.Sched)
+	}
+	for w := range want.PerWorker {
+		if !reflect.DeepEqual(got.PerWorker[w].Stats, want.PerWorker[w].Stats) {
+			t.Fatalf("%s: worker %d stats diverged", label, w)
+		}
+	}
+}
+
+// TestRunFaultyRoundsMatchOneRound pins the coordinator's cornerstone:
+// stepping the shards in rounds is bit-identical to running them to the end
+// in one round, because an engine paused at a round edge charges nothing.
+// No-op Slow episodes force the rounds without changing any latency.
+func TestRunFaultyRoundsMatchOneRound(t *testing.T) {
 	build := func() []serve.Worker[exectest.ChainState] {
 		ws, _ := faultyWorkers(160, 2, 400, 3)
 		return ws
@@ -109,24 +147,110 @@ func TestRunFaultyZeroConfigMatchesRun(t *testing.T) {
 		Technique: ops.AMAC,
 		Window:    6,
 	}
-	want := serve.Run(opts, build())
-	got := serve.RunFaulty(serve.FaultyOptions{Options: opts}, build())
-	if !reflect.DeepEqual(got.Stats, want.Stats) {
-		t.Fatalf("stats diverged:\n got %+v\nwant %+v", got.Stats, want.Stats)
+	want := serve.RunFaulty(serve.FaultyOptions{Options: opts}, build())
+	got := serve.RunFaulty(serve.FaultyOptions{Options: opts, Faults: noopSlow(2)}, build())
+	sameRun(t, "rounds", got, want)
+	if want.Faults == nil || want.Faults.Episodes != 0 {
+		t.Fatalf("one-round faults summary = %+v, want zero episodes", want.Faults)
 	}
-	if !reflect.DeepEqual(got.Latency, want.Latency) {
-		t.Fatalf("latency recorders diverged:\n got %v\nwant %v", &got.Latency, &want.Latency)
+	if got.Faults == nil || got.Faults.Episodes != 4 {
+		t.Fatalf("rounds faults summary = %+v, want four episodes", got.Faults)
 	}
-	if !reflect.DeepEqual(got.Sched, want.Sched) {
-		t.Fatalf("scheduler stats diverged:\n got %+v\nwant %+v", got.Sched, want.Sched)
+}
+
+// TestRunFaultySLOSheds pins that the serving options' SLO reaches the
+// brownout of a fault-layer run: an overloaded shard with a tight budget
+// sheds requests, exactly as many as plain Run sheds.
+func TestRunFaultySLOSheds(t *testing.T) {
+	const n = 1000
+	build := func() []serve.Worker[exectest.ChainState] {
+		return []serve.Worker[exectest.ChainState]{{
+			Machine:  exectest.NewChainMachine(chainLengths(n, 5), 6),
+			Arrivals: serve.Deterministic{Period: 40}.Schedule(n, 1),
+		}}
 	}
-	for w := range want.PerWorker {
-		if !reflect.DeepEqual(got.PerWorker[w].Stats, want.PerWorker[w].Stats) {
-			t.Fatalf("worker %d stats diverged", w)
+	opts := serve.Options{
+		Hardware:  memsim.XeonX5670(),
+		Technique: ops.AMAC,
+		Window:    6,
+		SLO:       fault.SLO{P99Budget: 500, Classes: 4, HoldRounds: 2},
+	}
+	res := serve.RunFaulty(serve.FaultyOptions{Options: opts}, build())
+	if res.Latency.Shed == 0 {
+		t.Fatal("an overloaded fault-layer run with an SLO must shed requests")
+	}
+	if res.Faults.MaxShedLevel == 0 {
+		t.Fatalf("faults summary = %+v, want a nonzero shed level", res.Faults)
+	}
+	if plain := serve.Run(opts, build()); plain.Latency.Shed != res.Latency.Shed {
+		t.Fatalf("shed %d, plain Run shed %d", res.Latency.Shed, plain.Latency.Shed)
+	}
+}
+
+// TestRunFaultyUnroutedSLOMatchesRun pins the one brownout rule of an
+// unrouted run: the queue observes the sliding p99 as requests arrive and
+// the coordinator adds no observation at round edges, so a run stepped in
+// rounds sheds exactly what a plain run with the same SLO sheds, from heavy
+// overload down to light load.
+func TestRunFaultyUnroutedSLOMatchesRun(t *testing.T) {
+	const n, W = 1200, 2
+	for _, period := range []uint64{20, 60, 120, 200} {
+		build := func() []serve.Worker[exectest.ChainState] {
+			ws, _ := faultyWorkers(n, W, period, 4)
+			return ws
+		}
+		opts := serve.Options{
+			Hardware:  memsim.XeonX5670(),
+			Technique: ops.AMAC,
+			Window:    6,
+			SLO:       fault.SLO{P99Budget: 500, Classes: 4, HoldRounds: 2},
+		}
+		want := serve.Run(opts, build())
+		got := serve.RunFaulty(serve.FaultyOptions{Options: opts, Faults: noopSlow(W)}, build())
+		label := fmt.Sprintf("period %d", period)
+		sameRun(t, label, got, want)
+		if period == 20 && want.Latency.Shed == 0 {
+			t.Fatalf("%s: overload should shed", label)
 		}
 	}
-	if got.Faults == nil || got.Faults.Episodes != 0 {
-		t.Fatalf("faults summary = %+v, want zero episodes", got.Faults)
+}
+
+// TestRunFaultyPolicyPanics pins that faults, deadlines and recovery
+// policies are refused for every engine but non-adaptive AMAC: timed-out and
+// aborted slots need AMAC's shrink-drain machinery.
+func TestRunFaultyPolicyPanics(t *testing.T) {
+	engines := map[string]struct {
+		opts serve.Options
+		want string
+	}{
+		"Baseline": {serve.Options{Technique: ops.Baseline}, "AMAC engine"},
+		"GP":       {serve.Options{Technique: ops.GP}, "AMAC engine"},
+		"SPP":      {serve.Options{Technique: ops.SPP}, "AMAC engine"},
+		"adaptive": {serve.Options{Technique: ops.AMAC, Adaptive: &adapt.Config{}}, "adaptive control"},
+	}
+	policies := map[string]serve.FaultyOptions{
+		"deadline": {Deadline: 1000},
+		"faults": {Faults: &fault.Schedule{Episodes: []fault.Episode{
+			{Kind: fault.Slow, Shard: 0, Start: 1000, Dur: 1000, Factor: 2},
+		}}},
+		"retry": {Retry: fault.RetryPolicy{Max: 1, Backoff: 100}},
+	}
+	for ename, e := range engines {
+		for pname, fo := range policies {
+			t.Run(ename+"/"+pname, func(t *testing.T) {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, e.want) {
+						t.Fatalf("panic %q, want one naming %q", msg, e.want)
+					}
+				}()
+				ws, sched := faultyWorkers(8, 1, 100, 2)
+				fo.Options = e.opts
+				fo.Hardware = memsim.XeonX5670()
+				fo.Sched = sched
+				serve.RunFaulty(fo, ws)
+			})
+		}
 	}
 }
 
@@ -151,7 +275,6 @@ func TestRunFaultySlowShardRecovery(t *testing.T) {
 			Retry:    fault.RetryPolicy{Max: 2, Backoff: 500},
 			Hedge:    fault.HedgePolicy{Delay: 1500},
 			Breaker:  &fault.BreakerConfig{Cooldown: 8192, MinSamples: 4, Alpha: 0.5},
-			Slice:    1024,
 			Sched:    sched,
 		}, workers)
 	}
@@ -204,7 +327,6 @@ func TestRunFaultyCrashRetries(t *testing.T) {
 			{Kind: fault.Crash, Shard: 1, Start: 8000, Dur: 16000},
 		}},
 		Retry: fault.RetryPolicy{Max: 3, Backoff: 1000},
-		Slice: 2048,
 		Sched: sched,
 	}, workers)
 	rec := res.Latency

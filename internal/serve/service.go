@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-
 	"amac/internal/adapt"
 	"amac/internal/core"
 	"amac/internal/exec"
@@ -107,121 +105,18 @@ func (r Result) ThroughputPerCycle() float64 {
 	return r.Latency.ThroughputPerCycle(r.ElapsedCycles())
 }
 
-// Run executes the sharded streaming service: every worker serves its own
-// machine from its own queue-fed source on a private core, concurrently on
-// real goroutines (exec.RunParallel), and the per-worker stats and latency
-// recorders are merged. Deterministic for a fixed configuration regardless
-// of the goroutine schedule, because workers share nothing mutable.
-//
-// The socket models are recycled (memsim.AcquireSystem), so a load sweep
-// that calls Run once per (technique, load) point reuses one System+Core
-// pair per worker instead of rebuilding megabytes of cache metadata per
-// point; a recycled pair is reset to exactly the fresh-construction state,
-// so results are bit-identical either way.
+// Run executes the sharded streaming service with no faults and no
+// recovery policies: RunFaulty's coordinator in a single round, every
+// worker serving its own machine from its own queue-fed source on a private
+// core, concurrently on goroutines, with the per-worker stats and latency
+// recorders merged. Deterministic for a fixed configuration regardless of
+// the goroutine schedule, because workers share nothing mutable. The
+// result's Faults summaries are nil.
 func Run[S any](opts Options, workers []Worker[S]) Result {
-	n := len(workers)
-	if n == 0 {
-		return Result{}
-	}
-
-	pooled := make([]*memsim.PooledSystem, n)
-	cores := make([]*memsim.Core, n)
-	sources := make([]*QueueSource[S], n)
-	trs := make([]*obs.CoreTrace, n)
-	brown := make([]*fault.Brownout, n)
-	shared := opts.Hardware.ShareLLC(n)
-	for w := 0; w < n; w++ {
-		pooled[w] = memsim.AcquireSystem(shared)
-		cores[w] = pooled[w].Core
-		pooled[w].Sys.SetActiveThreads(n, cores[w])
-		if opts.Prepare != nil {
-			opts.Prepare(w, cores[w])
-		}
-		cores[w].ResetStats()
-		cores[w].SetProfiler(opts.Profile.Core(fmt.Sprintf("worker %d", w)))
-		sources[w] = NewQueueSource(workers[w].Machine, workers[w].Arrivals, opts.QueueCap, opts.Policy, nil)
-		// Tracks register here, in worker order on one goroutine, so the
-		// exported trace's process layout is deterministic regardless of the
-		// goroutine schedule. Metrics without tracing still needs a CoreTrace
-		// as the width-gauge holder; an unregistered discard core serves.
-		trs[w] = opts.Trace.Core(fmt.Sprintf("worker %d", w))
-		if trs[w] == nil && opts.Metrics != nil {
-			trs[w] = obs.NewDiscardCore()
-		}
-		sources[w].SetTrace(trs[w])
-		var lw *obs.LatencyWindow
-		if opts.Metrics != nil || opts.SLO.Enabled() {
-			lw = obs.NewLatencyWindow(0)
-			sources[w].SetLatencyWindow(lw)
-		}
-		if opts.SLO.Enabled() {
-			brown[w] = fault.NewBrownout(opts.SLO)
-			sources[w].SetBrownout(brown[w])
-		}
-		if opts.Metrics != nil {
-			cm := opts.Metrics.Core(fmt.Sprintf("worker %d", w))
-			src, c, tr := sources[w], cores[w], trs[w]
-			cm.Gauge("queue_depth", func() float64 { return float64(src.Depth()) })
-			cm.Gauge("mshr_outstanding", func() float64 { return float64(c.MSHROutstanding()) })
-			cm.Gauge("width", func() float64 { return float64(tr.Width()) })
-			cm.Gauge("p99_window", func() float64 { return float64(lw.Quantile(0.99)) })
-			var prev memsim.Stats
-			cm.Gauge("stall_fraction", func() float64 {
-				s := c.Stats()
-				busy := (s.Cycles - prev.Cycles) - (s.IdleCycles - prev.IdleCycles)
-				stall := s.StallCycles - prev.StallCycles
-				prev = s
-				if busy == 0 {
-					return 0
-				}
-				return float64(stall) / float64(busy)
-			})
-			c.SetCycleHook(opts.Metrics.Interval(), cm.Tick)
-		}
-	}
-
-	sched := make([]core.RunStats, n)
-	var ctls []*adapt.Controller
-	if opts.Adaptive != nil {
-		ctls = make([]*adapt.Controller, n)
-		for w := range ctls {
-			ctls[w] = adapt.NewController(*opts.Adaptive)
-			ctls[w].SetTrace(trs[w])
-			if brown[w] != nil {
-				b := brown[w]
-				ctls[w].SetTailBias(func() bool { return b.Level() > 0 })
-			}
-		}
-	}
-	ps := exec.RunParallel(cores, func(w int, c *memsim.Core) {
-		if ctls != nil {
-			sched[w] = adapt.RunStream(c, sources[w], ctls[w], sources[w].Depth)
-			return
-		}
-		sched[w] = ops.RunSource(c, sources[w], opts.Technique, core.Options{Width: opts.Window, Trace: trs[w]})
-	})
-
-	res := Result{Stats: ps.Merged, Sched: core.MergeRunStats(sched)}
-	if ctls != nil {
-		res.Adapt = &adapt.Info{}
-	}
-	for w := 0; w < n; w++ {
-		wr := WorkerResult{
-			Stats:   ps.PerWorker[w],
-			Latency: sources[w].Recorder(),
-			Sched:   sched[w],
-		}
-		if ctls != nil {
-			info := ctls[w].Info()
-			wr.Adapt = &info
-			res.Adapt.Merge(info)
-		}
-		res.PerWorker = append(res.PerWorker, wr)
-		res.Latency.Merge(sources[w].Recorder())
-		sources[w].Close()
-		cores[w].SetCycleHook(0, nil) // pooled core: never leak a hook or profiler past the run
-		cores[w].SetProfiler(nil)
-		pooled[w].Release()
+	res := RunFaulty(FaultyOptions{Options: opts}, workers)
+	res.Faults = nil
+	for w := range res.PerWorker {
+		res.PerWorker[w].Faults = nil
 	}
 	return res
 }

@@ -154,7 +154,9 @@ type ServiceResult = serve.Result
 
 // RunService executes a sharded streaming service: every worker serves its
 // machine from its own queue-fed source on a private core, concurrently on
-// real goroutines, deterministically for a fixed configuration.
+// real goroutines, deterministically for a fixed configuration. It is
+// RunFaultyService with no faults and no recovery policies, minus the
+// Faults summary.
 func RunService[S any](opts ServiceOptions, workers []ServiceWorker[S]) ServiceResult {
 	return serve.Run(opts, workers)
 }
