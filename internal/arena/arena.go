@@ -15,12 +15,20 @@
 // required to be powers of two so chunk/offset splits are a shift and a mask,
 // and the panic messages (which call fmt) live in separate noinline slow
 // paths so the bounds checks stay branch-plus-nothing in the common case.
+//
+// Prefetch is a host hint only. The stage machines call it on the address
+// they hand the simulated core as the next prefetch, so the host pulls the
+// node's bytes into its own cache while other lookups run, as the simulated
+// core does. It changes no simulated state, never panics, and compiles to a
+// no-op on architectures without an assembly prefetch (anything but amd64
+// and arm64).
 package arena
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"amac/internal/memsim"
 )
@@ -160,6 +168,18 @@ func (a *Arena) slice(addr Addr, size int) []byte {
 		a.accessPanic(addr, size)
 	}
 	return a.chunks[pos>>a.chunkShift][off : off+uint64(size)]
+}
+
+// Prefetch hints to the host CPU that the bytes at addr are about to be read.
+// An address of 0 or at or past the allocation watermark is ignored: this is
+// a hint, never an access, so it cannot panic and it has no simulated
+// effect.
+func (a *Arena) Prefetch(addr Addr) {
+	pos := uint64(addr)
+	if pos == 0 || pos >= a.top {
+		return
+	}
+	prefetchLine(unsafe.Pointer(&a.chunks[pos>>a.chunkShift][pos&a.chunkMask]))
 }
 
 // accessPanic reports an invalid access; it is kept out of slice so the fast

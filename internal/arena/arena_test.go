@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -169,10 +170,54 @@ func TestSizeGrowsMonotonically(t *testing.T) {
 	}
 }
 
+// TestPrefetchIsAHint pins Prefetch's contract: no address panics, none
+// changes a byte, and none allocates.
+func TestPrefetchIsAHint(t *testing.T) {
+	const chunk = 4096
+	a := NewWithChunkSize(chunk)
+	first := a.AllocLines(40)
+	a.AllocLines(40) // does not fit the first chunk's tail: starts the second
+	top := Addr(a.Size())
+	if top <= chunk {
+		t.Fatalf("arena top %d does not reach the second chunk", top)
+	}
+	for p := first; p < top; p += 8 {
+		a.WriteU64(p, uint64(p)*0x9e3779b97f4a7c15)
+	}
+	snapshot := func() []byte {
+		var b []byte
+		for p := first; p < top; p += memsim.LineSize {
+			b = append(b, a.Bytes(p, memsim.LineSize)...)
+		}
+		return b
+	}
+	before := snapshot()
+	addrs := []Addr{0, first, top - 1, top, top + 1, ^Addr(0), chunk - 1, chunk, chunk + 1}
+	for _, p := range addrs {
+		a.Prefetch(p)
+	}
+	if !bytes.Equal(before, snapshot()) {
+		t.Fatal("Prefetch changed arena contents")
+	}
+	if a.Size() != uint64(top) {
+		t.Fatalf("Prefetch moved the allocation watermark: %d, want %d", a.Size(), top)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range addrs {
+			a.Prefetch(p)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Prefetch allocated %v times per run", allocs)
+	}
+}
+
 // TestConcurrentReads pins the sharing rule the parallel layer relies on:
 // reads write nothing, so several goroutines may read one arena at once.
 // Each reader walks the chunks in a different order, so under -race any
-// per-read bookkeeping shared between readers shows up as a data race.
+// per-read bookkeeping shared between readers shows up as a data race. The
+// readers also prefetch the address they read next, as the stage machines
+// do.
 func TestConcurrentReads(t *testing.T) {
 	const chunk, chunks, readers = 4 * memsim.LineSize, 8, 4
 	a := NewWithChunkSize(chunk)
@@ -191,6 +236,7 @@ func TestConcurrentReads(t *testing.T) {
 			for rep := 0; rep < 200; rep++ {
 				for k := range addrs {
 					i := (k*(2*r+1) + r) % len(addrs)
+					a.Prefetch(addrs[(i+1)%len(addrs)])
 					if a.ReadU64(addrs[i]) != uint64(i) {
 						errs[r]++
 					}

@@ -47,6 +47,10 @@ func (t *Tree) Root() arena.Addr { return t.root }
 // check per node visit.
 type NodeRef []byte
 
+// Prefetch is a host-only hint to pull node n's bytes into the host cache
+// (see arena.Arena.Prefetch); it charges no simulated time.
+func (t *Tree) Prefetch(n arena.Addr) { t.a.Prefetch(n) }
+
 // Node returns the view of the node at n.
 func (t *Tree) Node(n arena.Addr) NodeRef { return NodeRef(t.a.Bytes(n, NodeBytes)) }
 

@@ -10,8 +10,11 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -75,8 +78,13 @@ type Episode struct {
 	Factor float64
 }
 
-// End is the first cycle after the episode.
+// End is the first cycle after the episode. Parsed and validated episodes
+// never wrap it.
 func (e Episode) End() uint64 { return e.Start + e.Dur }
+
+// validFactor reports whether f is a usable Slow or Spike multiplier: finite
+// and at least 1. NaN fails the comparison.
+func validFactor(f float64) bool { return f >= 1 && !math.IsInf(f, 1) }
 
 // String renders the episode in the -faults flag grammar.
 func (e Episode) String() string {
@@ -109,22 +117,23 @@ func (s *Schedule) String() string {
 	return strings.Join(parts, ",")
 }
 
-// sortEpisodes orders by (Start, Shard, Kind) — a total, deterministic order.
+// sortEpisodes orders by (Start, Shard, Kind, Dur, Factor) — a total,
+// deterministic order, so a schedule re-parsed from its String is identical.
 func sortEpisodes(eps []Episode) {
-	sort.Slice(eps, func(i, j int) bool {
-		a, b := eps[i], eps[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Kind < b.Kind
+	slices.SortFunc(eps, func(a, b Episode) int {
+		return cmp.Or(
+			cmp.Compare(a.Start, b.Start),
+			cmp.Compare(a.Shard, b.Shard),
+			cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.Dur, b.Dur),
+			cmp.Compare(a.Factor, b.Factor),
+		)
 	})
 }
 
 // Validate checks every episode against the shard count: shards in range,
-// positive durations, sane factors, and no overlapping episodes on one shard.
+// positive durations that do not run past the last cycle, finite factors of
+// at least 1, and no overlapping episodes on one shard.
 func (s *Schedule) Validate(shards int) error {
 	if s == nil {
 		return nil
@@ -138,8 +147,11 @@ func (s *Schedule) Validate(shards int) error {
 		if e.Dur == 0 {
 			return fmt.Errorf("fault: episode %s has zero duration", e)
 		}
-		if (e.Kind == Slow || e.Kind == Spike) && e.Factor < 1 {
-			return fmt.Errorf("fault: episode %s needs a factor >= 1", e)
+		if e.End() < e.Start {
+			return fmt.Errorf("fault: episode %s ends past the last cycle", e)
+		}
+		if (e.Kind == Slow || e.Kind == Spike) && !validFactor(e.Factor) {
+			return fmt.Errorf("fault: episode %s needs a finite factor >= 1", e)
 		}
 		if end, ok := lastEnd[e.Shard]; ok && e.Start < end {
 			return fmt.Errorf("fault: episode %s overlaps an earlier episode on shard %d", e, e.Shard)
@@ -245,13 +257,16 @@ func parseEpisode(tok string) (Episode, error) {
 	if err != nil || dur == 0 {
 		return Episode{}, fmt.Errorf("fault: bad duration %q in %q", durStr, tok)
 	}
+	if start+dur < start {
+		return Episode{}, fmt.Errorf("fault: episode %q ends past the last cycle", tok)
+	}
 	ep := Episode{Kind: kind, Shard: shard, Start: start, Dur: dur, Factor: 1}
 	if hasFactor {
 		if kind == Freeze || kind == Crash {
 			return Episode{}, fmt.Errorf("fault: %s episodes take no factor (%q)", kind, tok)
 		}
 		f, err := strconv.ParseFloat(factorStr, 64)
-		if err != nil || f < 1 {
+		if err != nil || !validFactor(f) {
 			return Episode{}, fmt.Errorf("fault: bad factor %q in %q", factorStr, tok)
 		}
 		ep.Factor = f
@@ -261,7 +276,8 @@ func parseEpisode(tok string) (Episode, error) {
 	return ep, nil
 }
 
-// parseCycles parses a cycle count with an optional k or M suffix.
+// parseCycles parses a cycle count with an optional k or M suffix, rejecting
+// a count the suffix would carry past 2^64-1.
 func parseCycles(s string) (uint64, error) {
 	mult := uint64(1)
 	if n, ok := strings.CutSuffix(s, "k"); ok {
@@ -273,7 +289,11 @@ func parseCycles(s string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return v * mult, nil
+	hi, lo := bits.Mul64(v, mult)
+	if hi != 0 {
+		return 0, fmt.Errorf("fault: cycle count %s overflows", s)
+	}
+	return lo, nil
 }
 
 // Resolve materializes the spec against a shard count and run horizon:

@@ -1,51 +1,66 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
 
+// parseSpecCases is the TestParseSpec table; FuzzParseSpec seeds its corpus
+// from the same specs.
+var parseSpecCases = []struct {
+	name    string
+	spec    string
+	wantErr string // substring; empty means valid
+	want    []Episode
+}{
+	{
+		name: "slow with factor",
+		spec: "slow:0@60000+120000x4",
+		want: []Episode{{Kind: Slow, Shard: 0, Start: 60000, Dur: 120000, Factor: 4}},
+	},
+	{
+		name: "suffixes and list",
+		spec: "freeze:1@5k+3k,crash:2@1M+40k",
+		want: []Episode{
+			{Kind: Freeze, Shard: 1, Start: 5000, Dur: 3000, Factor: 1},
+			{Kind: Crash, Shard: 2, Start: 1000000, Dur: 40000, Factor: 1},
+		},
+	},
+	{
+		name: "spike",
+		spec: "spike:3@800+200x8",
+		want: []Episode{{Kind: Spike, Shard: 3, Start: 800, Dur: 200, Factor: 8}},
+	},
+	{name: "unknown kind", spec: "melt:0@1+2", wantErr: "unknown kind"},
+	{name: "missing kind", spec: "0@1+2", wantErr: "lacks a kind"},
+	{name: "missing start", spec: "slow:0+2x2", wantErr: "lacks @start"},
+	{name: "missing dur", spec: "slow:0@100x2", wantErr: "lacks +dur"},
+	{name: "zero dur", spec: "slow:0@100+0x2", wantErr: "bad duration"},
+	{name: "slow without factor", spec: "slow:0@100+50", wantErr: "need an xfactor"},
+	{name: "freeze with factor", spec: "freeze:0@100+50x2", wantErr: "take no factor"},
+	{name: "factor below one", spec: "slow:0@100+50x0.5", wantErr: "bad factor"},
+	{name: "NaN factor", spec: "slow:0@0+10xNaN", wantErr: "bad factor"},
+	{name: "infinite factor", spec: "slow:0@0+10x+Inf", wantErr: "bad factor"},
+	{name: "infinite spike factor", spec: "spike:0@0+10xInf", wantErr: "bad factor"},
+	{name: "k suffix overflows", spec: "slow:0@18446744073709551615k+1x2", wantErr: "bad start"},
+	{name: "M suffix overflows", spec: "freeze:0@0+18446744073709552M", wantErr: "bad duration"},
+	{name: "end wraps", spec: "freeze:0@18446744073709551615+1", wantErr: "past the last cycle"},
+	{
+		name: "end at the last cycle",
+		spec: "freeze:0@18446744073709551614+1",
+		want: []Episode{{Kind: Freeze, Shard: 0, Start: 1<<64 - 2, Dur: 1, Factor: 1}},
+	},
+	{name: "negative shard", spec: "slow:-1@100+50x2", wantErr: "bad shard"},
+	{name: "empty token", spec: "slow:0@1+2x2,,", wantErr: "empty episode"},
+	{name: "empty spec", spec: "", wantErr: "empty schedule"},
+	{name: "bad rand seed", spec: "rand:nope", wantErr: "bad rand seed"},
+	{name: "bad rand count", spec: "rand:7:zero", wantErr: "bad rand episode count"},
+}
+
 func TestParseSpec(t *testing.T) {
-	cases := []struct {
-		name    string
-		spec    string
-		wantErr string // substring; empty means valid
-		want    []Episode
-	}{
-		{
-			name: "slow with factor",
-			spec: "slow:0@60000+120000x4",
-			want: []Episode{{Kind: Slow, Shard: 0, Start: 60000, Dur: 120000, Factor: 4}},
-		},
-		{
-			name: "suffixes and list",
-			spec: "freeze:1@5k+3k,crash:2@1M+40k",
-			want: []Episode{
-				{Kind: Freeze, Shard: 1, Start: 5000, Dur: 3000, Factor: 1},
-				{Kind: Crash, Shard: 2, Start: 1000000, Dur: 40000, Factor: 1},
-			},
-		},
-		{
-			name: "spike",
-			spec: "spike:3@800+200x8",
-			want: []Episode{{Kind: Spike, Shard: 3, Start: 800, Dur: 200, Factor: 8}},
-		},
-		{name: "unknown kind", spec: "melt:0@1+2", wantErr: "unknown kind"},
-		{name: "missing kind", spec: "0@1+2", wantErr: "lacks a kind"},
-		{name: "missing start", spec: "slow:0+2x2", wantErr: "lacks @start"},
-		{name: "missing dur", spec: "slow:0@100x2", wantErr: "lacks +dur"},
-		{name: "zero dur", spec: "slow:0@100+0x2", wantErr: "bad duration"},
-		{name: "slow without factor", spec: "slow:0@100+50", wantErr: "need an xfactor"},
-		{name: "freeze with factor", spec: "freeze:0@100+50x2", wantErr: "take no factor"},
-		{name: "factor below one", spec: "slow:0@100+50x0.5", wantErr: "bad factor"},
-		{name: "negative shard", spec: "slow:-1@100+50x2", wantErr: "bad shard"},
-		{name: "empty token", spec: "slow:0@1+2x2,,", wantErr: "empty episode"},
-		{name: "empty spec", spec: "", wantErr: "empty schedule"},
-		{name: "bad rand seed", spec: "rand:nope", wantErr: "bad rand seed"},
-		{name: "bad rand count", spec: "rand:7:zero", wantErr: "bad rand episode count"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseSpecCases {
 		t.Run(tc.name, func(t *testing.T) {
 			sp, err := ParseSpec(tc.spec)
 			if tc.wantErr != "" {
@@ -105,6 +120,52 @@ func TestScheduleValidate(t *testing.T) {
 	if err := disjoint.Validate(2); err != nil {
 		t.Fatal(err)
 	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), 0.5} {
+		bad := &Schedule{Episodes: []Episode{{Kind: Slow, Shard: 0, Start: 0, Dur: 10, Factor: f}}}
+		if err := bad.Validate(1); err == nil || !strings.Contains(err.Error(), "factor") {
+			t.Fatalf("factor %v not rejected: %v", f, err)
+		}
+	}
+	// An End that wraps to a small cycle would slip past the overlap check
+	// against the episode that follows it.
+	wraps := &Schedule{Episodes: []Episode{
+		{Kind: Freeze, Shard: 0, Start: 100, Dur: math.MaxUint64, Factor: 1},
+		{Kind: Crash, Shard: 0, Start: 200, Dur: 10, Factor: 1},
+	}}
+	if err := wraps.Validate(1); err == nil || !strings.Contains(err.Error(), "past the last cycle") {
+		t.Fatalf("wrapping episode not rejected: %v", err)
+	}
+}
+
+// FuzzParseSpec checks that ParseSpec never panics, that every schedule it
+// accepts holds the invariants Validate relies on, and that a schedule
+// re-parsed from its String is the same schedule.
+func FuzzParseSpec(f *testing.F) {
+	for _, tc := range parseSpecCases {
+		f.Add(tc.spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		sp, err := ParseSpec(spec)
+		if err != nil || sp.IsRand {
+			return
+		}
+		for _, e := range sp.Sched.Episodes {
+			if math.IsNaN(e.Factor) || math.IsInf(e.Factor, 0) || e.Factor < 1 {
+				t.Fatalf("%q: episode %+v has factor %v", spec, e, e.Factor)
+			}
+			if e.Dur == 0 || e.End() < e.Start {
+				t.Fatalf("%q: episode %+v has a bad extent", spec, e)
+			}
+		}
+		again, err := ParseSpec(sp.Sched.String())
+		if err != nil {
+			t.Fatalf("%q: re-parsing %q: %v", spec, sp.Sched.String(), err)
+		}
+		if !reflect.DeepEqual(again.Sched.Episodes, sp.Sched.Episodes) {
+			t.Fatalf("%q: round trip through %q gave %+v, want %+v",
+				spec, sp.Sched.String(), again.Sched.Episodes, sp.Sched.Episodes)
+		}
+	})
 }
 
 func TestTimelineAdvance(t *testing.T) {

@@ -116,6 +116,10 @@ func (t *AggTable) AllocNode() arena.Addr {
 // and applies the aggregate update through it with a single bounds check.
 type AggNodeRef []byte
 
+// Prefetch is a host-only hint to pull node n's bytes into the host cache
+// (see arena.Arena.Prefetch); it charges no simulated time.
+func (t *AggTable) Prefetch(n arena.Addr) { t.a.Prefetch(n) }
+
 // Node returns the view of the node at n.
 func (t *AggTable) Node(n arena.Addr) AggNodeRef { return AggNodeRef(t.a.Bytes(n, NodeBytes)) }
 

@@ -122,6 +122,10 @@ func (t *Table) AllocNode() arena.Addr {
 // goes stale because arena chunks do not move.
 type NodeRef []byte
 
+// Prefetch is a host-only hint to pull node n's bytes into the host cache
+// (see arena.Arena.Prefetch); it charges no simulated time.
+func (t *Table) Prefetch(n arena.Addr) { t.a.Prefetch(n) }
+
 // Node returns the view of the node at n.
 func (t *Table) Node(n arena.Addr) NodeRef { return NodeRef(t.a.Bytes(n, NodeBytes)) }
 

@@ -70,6 +70,7 @@ func (m *BSTSearchMachine) InitKey(c *memsim.Core, s *BSTState, rid int, key, pa
 	if s.ptr == 0 {
 		return exec.Outcome{Done: true}
 	}
+	m.Tree.Prefetch(s.ptr)
 	return exec.Outcome{NextStage: 1, Prefetch: s.ptr, PrefetchBytes: bst.NodeBytes}
 }
 
@@ -97,5 +98,6 @@ func (m *BSTSearchMachine) Stage(c *memsim.Core, s *BSTState, stage int) exec.Ou
 		return exec.Outcome{Done: true}
 	}
 	s.ptr = child
+	m.Tree.Prefetch(child)
 	return exec.Outcome{NextStage: 1, Prefetch: child, PrefetchBytes: bst.NodeBytes}
 }

@@ -65,6 +65,7 @@ func (m *BuildMachine) Init(c *memsim.Core, s *BuildState, i int) exec.Outcome {
 	s.payload = payload
 	s.bucket = bucket
 	s.ptr = bucket
+	m.Table.Prefetch(bucket)
 	return exec.Outcome{NextStage: 1, Prefetch: bucket, PrefetchBytes: ht.NodeBytes}
 }
 
@@ -105,6 +106,7 @@ func (m *BuildMachine) insertOrAdvance(c *memsim.Core, s *BuildState, walkStage 
 	if s.ptr == s.bucket && next != 0 {
 		// The header is full: examine the first overflow node.
 		s.ptr = next
+		m.Table.Prefetch(next)
 		return exec.Outcome{NextStage: walkStage, Prefetch: next, PrefetchBytes: ht.NodeBytes}
 	}
 	// Both the header and (if present) the first overflow node are full:

@@ -71,6 +71,7 @@ func (m *GroupByMachine) InitKey(c *memsim.Core, s *GroupByState, rid int, key, 
 	s.payload = payload
 	s.bucket = bucket
 	s.ptr = bucket
+	m.Table.Prefetch(bucket)
 	return exec.Outcome{NextStage: 1, Prefetch: bucket, PrefetchBytes: ht.NodeBytes}
 }
 
@@ -137,5 +138,6 @@ func (m *GroupByMachine) matchOrAdvance(c *memsim.Core, s *GroupByState) exec.Ou
 		return exec.Outcome{Done: true}
 	}
 	s.ptr = next
+	m.Table.Prefetch(next)
 	return exec.Outcome{NextStage: 2, Prefetch: next, PrefetchBytes: ht.NodeBytes}
 }

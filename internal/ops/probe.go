@@ -87,6 +87,7 @@ func (m *ProbeMachine) InitKey(c *memsim.Core, s *ProbeState, rid int, key, payl
 	s.key = key
 	s.payload = payload
 	s.ptr = bucket
+	m.Table.Prefetch(bucket)
 	return exec.Outcome{NextStage: 1, Prefetch: bucket, PrefetchBytes: ht.NodeBytes}
 }
 
@@ -113,5 +114,6 @@ func (m *ProbeMachine) Stage(c *memsim.Core, s *ProbeState, stage int) exec.Outc
 		return exec.Outcome{Done: true}
 	}
 	s.ptr = next
+	m.Table.Prefetch(next)
 	return exec.Outcome{NextStage: 1, Prefetch: next, PrefetchBytes: ht.NodeBytes}
 }

@@ -93,6 +93,7 @@ func (m *SkipListSearchMachine) descend(c *memsim.Core, s *SkipListSearchState) 
 		cand := tower.Next(s.lvl)
 		if cand != 0 {
 			s.cand = cand
+			m.List.Prefetch(cand)
 			return exec.Outcome{NextStage: 1, Prefetch: cand, PrefetchBytes: slNodeSpan}, true
 		}
 		if s.lvl == 0 {
@@ -255,6 +256,7 @@ func (m *SkipListInsertMachine) descend(c *memsim.Core, s *SkipListInsertState) 
 		cand := tower.Next(s.lvl)
 		if cand != 0 {
 			s.cand = cand
+			m.List.Prefetch(cand)
 			return exec.Outcome{NextStage: 1, Prefetch: cand, PrefetchBytes: slNodeSpan}, true
 		}
 		s.preds[s.lvl] = s.x

@@ -118,6 +118,10 @@ func (l *List) Tower(n arena.Addr, top int) TowerRef {
 	return TowerRef(l.a.Bytes(n, headerBytes+8*(top+1)))
 }
 
+// Prefetch is a host-only hint to pull node n's bytes into the host cache
+// (see arena.Arena.Prefetch); it charges no simulated time.
+func (l *List) Prefetch(n arena.Addr) { l.a.Prefetch(n) }
+
 // Node returns the header-only view of node n (key and payload; no tower
 // levels — TowerRef.Next on it is out of range).
 func (l *List) Node(n arena.Addr) TowerRef {
