@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -78,15 +78,19 @@ type metricsRecord struct {
 // WriteJSONL exports every core's samples as JSON Lines, one object per
 // sample: {"core":"worker 0","cycle":4096,"values":{"queue_depth":3,...}}.
 // Cores export in registration order, samples in cycle order; map keys
-// marshal sorted, so the output is deterministic.
+// marshal sorted, so the output is deterministic. Each sample carries the
+// gauges that were registered when it was taken.
 func (m *Metrics) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, c := range m.Cores() {
 		for i, cyc := range c.cycles {
-			rec := metricsRecord{Core: c.name, Cycle: cyc, Values: make(map[string]float64, len(c.names))}
-			for j, name := range c.names {
-				rec.Values[name] = c.vals[i][j]
+			// A row holds the gauges registered when it was sampled: gauges
+			// only append, so they are the first len(row) names.
+			row := c.vals[i]
+			rec := metricsRecord{Core: c.name, Cycle: cyc, Values: make(map[string]float64, len(row))}
+			for j, v := range row {
+				rec.Values[c.names[j]] = v
 			}
 			if err := enc.Encode(rec); err != nil {
 				return fmt.Errorf("obs: encoding %s sample %d: %w", c.name, i, err)
@@ -222,7 +226,7 @@ func (l *LatencyWindow) Quantile(q float64) uint64 {
 	} else {
 		s = append(s, l.buf...)
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	idx := int(q * float64(len(s)-1))
 	if idx < 0 {
 		idx = 0

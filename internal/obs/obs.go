@@ -97,6 +97,9 @@ const (
 	KindRequeue
 	// KindBrownout is an SLO brownout shed-level change (A = new level).
 	KindBrownout
+
+	// kindCount is the number of kinds; new kinds go above it.
+	kindCount
 )
 
 // Decision codes carried in KindDecision events (Event.Track). They mirror

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -115,27 +116,24 @@ type chromeFile struct {
 // TestWriteChromeSchemaRoundTrip records one event of every kind and checks
 // the export parses as Chrome trace-event JSON with well-formed records:
 // every event has a phase, metadata names the process and tracks, begin/end
-// spans balance, and counters carry values.
+// spans balance, and counters carry values. It also fails when a Kind is
+// missing from recordEveryKind or has no export case.
 func TestWriteChromeSchemaRoundTrip(t *testing.T) {
 	tr := NewTrace(1 << 10)
 	ct := tr.Core("worker 0")
-	ct.SlotStart(10, 0, 3)
-	ct.StageVisit(10, 25, 0, 0)
-	ct.SlotPrefetch(25, 0)
-	ct.StageVisit(25, 80, 0, 1)
-	ct.SlotRetry(80, 0, 1)
-	ct.SlotEnd(90, 0)
-	ct.GroupStart(100, 10)
-	ct.GroupEnd(400, 10)
-	ct.EngineSample(500, 12, 7)
-	ct.WidthChange(600, 13)
-	ct.Decision(700, DecSwitch, 1, 3)
-	ct.QueueAdmit(710, 1)
-	ct.QueueDrop(711, 2)
-	ct.QueueBlock(712, 9)
-	ct.QueueDepth(713, 9)
-	ct.PipeDepth(720, 2, 31)
-	ct.Backpressure(730, 2)
+	recordEveryKind(ct)
+	recorded := map[Kind]bool{}
+	for _, ev := range ct.Events() {
+		recorded[ev.Kind] = true
+	}
+	for k := Kind(0); k < kindCount; k++ {
+		if !recorded[k] {
+			t.Errorf("kind %d is never recorded by the round trip", k)
+		}
+		if n := exportedRecords(t, k); n == 0 {
+			t.Errorf("kind %d has no export case: it writes no records", k)
+		}
+	}
 
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -202,7 +200,7 @@ func TestWriteChromeSchemaRoundTrip(t *testing.T) {
 			t.Fatalf("unbalanced span depth %d on track %d", d, tid)
 		}
 	}
-	for _, want := range []string{"width", "mshr", "queue depth", "pipe2 depth"} {
+	for _, want := range []string{"width", "mshr", "queue depth", "pipe2 depth", "shed level"} {
 		if !counters[want] {
 			t.Fatalf("missing counter track %q (have %v)", want, counters)
 		}
@@ -213,6 +211,31 @@ func TestWriteChromeSchemaRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), DecisionName(DecSwitch)) {
 		t.Fatalf("decision instant lost its name")
 	}
+}
+
+// exportedRecords counts the records one event of kind k adds to an export,
+// with a slot span and a group span open so an end has something to close.
+func exportedRecords(t *testing.T, k Kind) int {
+	t.Helper()
+	count := func(withEvent bool) int {
+		tr := NewTrace(16)
+		ct := tr.Core("c")
+		ct.SlotStart(1, 0, 1)
+		ct.GroupStart(1, 1)
+		if withEvent {
+			ct.push(Event{Cycle: 2, Kind: k, A: 1, B: 1, Dur: 1})
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteChrome(&buf); err != nil {
+			t.Fatalf("WriteChrome: %v", err)
+		}
+		var f chromeFile
+		if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+			t.Fatalf("kind %d: export is not valid JSON: %v", k, err)
+		}
+		return len(f.TraceEvents)
+	}
+	return count(true) - count(false)
 }
 
 // TestWriteChromeDroppedMetadata forces ring overflow and checks the export
@@ -431,5 +454,39 @@ func TestLatencyWindowMerge(t *testing.T) {
 	}
 	if got := dst.Quantile(0); got != 2 {
 		t.Fatalf("q0 after overflowing merge = %d, want 2 (10 evicted)", got)
+	}
+}
+
+// TestLatencyWindowQuantileMatchesReference checks Quantile against a naive
+// reference — sort a copy of the held observations, take index
+// floor(q·(n−1)) — on empty, partially filled, exactly full and wrapped
+// windows of several sizes, including duplicate values.
+func TestLatencyWindowQuantileMatchesReference(t *testing.T) {
+	qs := []float64{0, 0.5, 0.99, 1}
+	for _, size := range []int{1, 2, 7, 64, 512} {
+		lw := NewLatencyWindow(size)
+		var held []uint64 // every observation, oldest first
+		x := uint64(size)
+		for n := 0; n <= 3*size+1; n++ {
+			window := held[max(len(held)-size, 0):]
+			ref := append([]uint64(nil), window...)
+			slices.Sort(ref)
+			for _, q := range qs {
+				want := uint64(0)
+				if len(ref) > 0 {
+					want = ref[int(q*float64(len(ref)-1))]
+				}
+				if got := lw.Quantile(q); got != want {
+					t.Fatalf("size %d after %d records: q%v = %d, want %d (window %v)", size, n, q, got, want, window)
+				}
+			}
+			x = x*6364136223846793005 + 1442695040888963407
+			v := x >> 54 // a small domain, so duplicates are common
+			lw.Record(v)
+			held = append(held, v)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { lw.Quantile(0.99) }); allocs != 0 {
+			t.Fatalf("size %d: Quantile allocates %v times", size, allocs)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package amac_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -159,5 +161,75 @@ func TestServiceDecisionLogPublicAPI(t *testing.T) {
 		if wr.Adapt.Decisions[0].Kind != amac.DecisionProbeStart {
 			t.Fatalf("worker %d log opens with %v, want probe-start", w, wr.Adapt.Decisions[0].Kind)
 		}
+	}
+}
+
+// TestMetricsReusedAcrossServicesPublicAPI reuses one Metrics registry for
+// two service runs. The second run registers its gauges on the same
+// per-worker collections, so its samples carry more gauges than the first
+// run's; the JSON Lines export must give every sample exactly the gauges
+// that existed when it was taken.
+func TestMetricsReusedAcrossServicesPublicAPI(t *testing.T) {
+	const workers = 2
+	build, probe, err := amac.BuildJoin(amac.JoinSpec{BuildSize: 1 << 10, ProbeSize: 1 << 10, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pj := amac.PartitionJoin(build, probe, workers)
+	pj.PrebuildRaw()
+	metrics := amac.NewMetrics(1024)
+	run := func() {
+		specs := make([]amac.ServiceWorker[amac.ProbeState], workers)
+		for w := 0; w < workers; w++ {
+			out := amac.NewOutput(pj.Parts[w].Arena, false)
+			out.Sequential = true
+			specs[w] = amac.ServiceWorker[amac.ProbeState]{
+				Machine:  pj.ProbeMachine(w, out, true),
+				Arrivals: amac.Deterministic{Period: 400}.Schedule(pj.Parts[w].Probe.Len(), 0),
+			}
+		}
+		amac.RunService(amac.ServiceOptions{
+			Hardware:  amac.XeonX5670(),
+			Technique: amac.AMAC,
+			Window:    8,
+			Metrics:   metrics,
+		}, specs)
+	}
+	run()
+	first := make([]int, workers)
+	for w, cm := range metrics.Cores() {
+		first[w] = cm.Samples()
+		if first[w] == 0 {
+			t.Fatalf("worker %d took no samples in the first run", w)
+		}
+	}
+	run()
+
+	var buf bytes.Buffer
+	if err := metrics.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	seen := map[string]int{}
+	for i, line := range lines {
+		var rec struct {
+			Core   string             `json:"core"`
+			Values map[string]float64 `json:"values"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line %d is not valid JSON: %v\n%s", i, err, line)
+		}
+		var w int
+		if _, err := fmt.Sscanf(rec.Core, "worker %d", &w); err != nil || w < 0 || w >= workers {
+			t.Fatalf("line %d has core %q", i, rec.Core)
+		}
+		want := 5 // the serving gauges of one run
+		if seen[rec.Core] >= first[w] {
+			want = 10 // both runs' gauges
+		}
+		if len(rec.Values) != want {
+			t.Fatalf("%s sample %d carries %d gauges, want %d: %v", rec.Core, seen[rec.Core], len(rec.Values), want, rec.Values)
+		}
+		seen[rec.Core]++
 	}
 }
