@@ -7,43 +7,27 @@ import (
 	"amac"
 )
 
-// ---------------------------------------------------------------------------
-// One benchmark per paper artifact. Each iteration regenerates the artifact
-// at smoke scale through the same code path as `amacbench -exp <id>`; use
-// `go run ./cmd/amacbench -exp <id> -scale small` for report-quality numbers
-// (EXPERIMENTS.md records those next to the paper's values).
-// ---------------------------------------------------------------------------
-
-func benchmarkExperiment(b *testing.B, id string) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables, err := amac.RunExperiment(id, amac.ExperimentConfig{Scale: amac.TinyScale, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 {
-			b.Fatalf("%s produced no tables", id)
-		}
+// BenchmarkExperiment regenerates every registered experiment, one
+// sub-benchmark per id, at smoke scale through the same code path as
+// `amacbench -exp <id>`. Use `go run ./cmd/amacbench -exp <id> -scale small`
+// for report-quality numbers (EXPERIMENTS.md records those next to the
+// paper's values).
+func BenchmarkExperiment(b *testing.B) {
+	for _, d := range amac.Experiments() {
+		b.Run(d.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tables, err := amac.RunExperiment(d.ID, amac.ExperimentConfig{Scale: amac.TinyScale, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tables) == 0 {
+					b.Fatalf("%s produced no tables", d.ID)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig3(b *testing.B)        { benchmarkExperiment(b, "fig3") }
-func BenchmarkTable3(b *testing.B)      { benchmarkExperiment(b, "table3") }
-func BenchmarkFig5a(b *testing.B)       { benchmarkExperiment(b, "fig5a") }
-func BenchmarkFig5b(b *testing.B)       { benchmarkExperiment(b, "fig5b") }
-func BenchmarkFig6(b *testing.B)        { benchmarkExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)        { benchmarkExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)        { benchmarkExperiment(b, "fig8") }
-func BenchmarkTable4(b *testing.B)      { benchmarkExperiment(b, "table4") }
-func BenchmarkFig9(b *testing.B)        { benchmarkExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)       { benchmarkExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)       { benchmarkExperiment(b, "fig11") }
-func BenchmarkFig12a(b *testing.B)      { benchmarkExperiment(b, "fig12a") }
-func BenchmarkFig12b(b *testing.B)      { benchmarkExperiment(b, "fig12b") }
-func BenchmarkFig13(b *testing.B)       { benchmarkExperiment(b, "fig13") }
-func BenchmarkAblInflight(b *testing.B) { benchmarkExperiment(b, "abl-inflight") }
-func BenchmarkAblRefill(b *testing.B)   { benchmarkExperiment(b, "abl-refill") }
-func BenchmarkAblMSHR(b *testing.B)     { benchmarkExperiment(b, "abl-mshr") }
 
 // ---------------------------------------------------------------------------
 // Technique micro-benchmarks: wall-clock cost of simulating one probe,
@@ -218,13 +202,69 @@ func BenchmarkServeDrop(b *testing.B) {
 	benchmarkServe(b, amac.AMAC, bursty, 64, amac.QueueDrop, join, out)
 }
 
+// chainState and chainMachine form a compute-only operator: each lookup runs
+// stages code stages that charge one instruction and touch no simulated
+// memory.
+type chainState struct{ left int }
+
+type chainMachine struct{ n, stages int }
+
+func (m chainMachine) NumLookups() int        { return m.n }
+func (m chainMachine) ProvisionedStages() int { return m.stages }
+
+func (m chainMachine) Init(c *amac.Core, s *chainState, i int) amac.Outcome {
+	c.Instr(1)
+	s.left = m.stages - 1
+	if s.left <= 0 {
+		return amac.Outcome{Done: true}
+	}
+	return amac.Outcome{NextStage: 1}
+}
+
+func (m chainMachine) Stage(c *amac.Core, s *chainState, stage int) amac.Outcome {
+	c.Instr(1)
+	if s.left--; s.left <= 0 {
+		return amac.Outcome{Done: true}
+	}
+	return amac.Outcome{NextStage: stage}
+}
+
+// BenchmarkServeMachinery streams the compute-only chain machine from a fully
+// backlogged queue. The memory model contributes almost nothing, so what is
+// timed is the serving fast path itself: ring admit/pop, engine slot
+// scheduling, pooled per-request state and latency recording.
+func BenchmarkServeMachinery(b *testing.B) {
+	mach := chainMachine{n: 1 << 15, stages: 4}
+	backlog := make([]uint64, mach.n)
+	for _, tech := range amac.Techniques {
+		b.Run(tech.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var cycles uint64
+			for i := 0; i < b.N; i++ {
+				res := amac.RunService(amac.ServiceOptions{
+					Hardware:  amac.XeonX5670(),
+					Technique: tech,
+					Window:    10,
+				}, []amac.ServiceWorker[chainState]{{
+					Machine:  mach,
+					Arrivals: backlog,
+				}})
+				if res.Latency.Completed != uint64(mach.n) {
+					b.Fatalf("completed %d of %d requests", res.Latency.Completed, mach.n)
+				}
+				cycles = res.ElapsedCycles()
+			}
+			b.ReportMetric(float64(cycles), "simcycles/run")
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Observability overhead: the same runs with the trace/metrics sinks off and
 // on. The "off" arms are the guarded path — instrumentation is threaded
 // through every engine unconditionally, so these must stay within noise of
-// the pre-instrumentation numbers (the bench gate compares them against the
-// committed baseline), and TestDisabledObsZeroAllocPublicAPI asserts the
-// disabled event sites allocate nothing.
+// the pre-instrumentation numbers, and TestDisabledObsZeroAllocPublicAPI
+// asserts the disabled event sites allocate nothing.
 // ---------------------------------------------------------------------------
 
 func benchmarkServeObs(b *testing.B, traced bool) {

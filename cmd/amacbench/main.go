@@ -24,8 +24,6 @@
 //	amacbench -exp obsN -metrics m.jsonl -metrics-interval 2048  # gauge time series
 //	amacbench -exp profN                # cycle attribution: category breakdown, stall hiding, MLP
 //	amacbench -exp profN -flame f.txt -profile p.pb.gz  # flamegraph stacks + pprof proto
-//	amacbench -bench                    # benchmark suite -> BENCH_pr4.json
-//	amacbench -bench -benchgate BENCH_pr4.json  # CI gate: fail on >3x ns/op regressions
 //	amacbench -exp fig6 -cpuprofile cpu.prof  # profile the simulator hot path
 //
 // Results are printed as aligned text tables whose rows and columns mirror
@@ -37,6 +35,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,172 +52,126 @@ import (
 	"amac/internal/serve"
 )
 
+// cliFlags holds every command-line value.
+type cliFlags struct {
+	list                bool
+	exp, scale          string
+	seed                uint64
+	window, workers     int
+	parallel            int
+	arrivals            string
+	qcap                int
+	plans               string
+	burst, pipeCap      int
+	faults              string
+	deadline, slo       int
+	jsonOut             bool
+	tracePath, metPath  string
+	metEvery            int
+	profPath, flamePath string
+	cpuProf, memProf    string
+}
+
+// errUnknownExperiment marks the one flag error after which the experiment
+// listing is printed.
+var errUnknownExperiment = errors.New("unknown experiment")
+
 func main() {
-	var (
-		list      = flag.Bool("list", false, "list available experiments and exit")
-		exp       = flag.String("exp", "", "experiment id to run, or \"all\"")
-		scale     = flag.String("scale", "small", "dataset scale: tiny, small or paper")
-		seed      = flag.Uint64("seed", 42, "workload generation seed")
-		window    = flag.Int("window", 0, "override the number of in-flight lookups (0 = per-experiment default)")
-		workers   = flag.Int("workers", 0, "cap the parallel experiments' worker sweep (0 = default sweep 1,2,4,8,16); serveN worker count")
-		parallel  = flag.Int("parallel", 0, "host workers for independent sweep points (0 = all cores, 1 = serial); results are identical for every value")
-		arrivals  = flag.String("arrivals", "", "serving arrival process: deterministic, poisson (default) or bursty")
-		qcap      = flag.Int("qcap", 0, "bound the serving admission queue and drop on overflow (0 = unbounded blocking queue)")
-		plans     = flag.String("plans", "", "pipeline plan filter: comma-separated case-insensitive substrings of pipeN plan names (empty = every plan)")
-		burst     = flag.Int("burst", 0, "pipeline pump lease size: admissions per upstream lease (0 = pipeline default)")
-		pipeCap   = flag.Int("pipecap", 0, "pipeline inter-stage pipe capacity in rows, the backpressure bound (0 = pipeline default)")
-		faults    = flag.String("faults", "", "faultN chaos schedule: comma-separated \"kind:shard@start+dur[xfactor]\" episodes or \"rand:SEED[:N]\" (empty = default scenario)")
-		deadline  = flag.Int("deadline", 0, "faultN per-request deadline in cycles (0 = derive 2x the clean-run p99)")
-		slo       = flag.Int("slo", 0, "faultN p99 SLO budget in cycles; enables the brownout row (0 = omit it)")
-		jsonOut   = flag.Bool("json", false, "emit results as JSON Lines (one object per table row) instead of text tables")
-		tracePath = flag.String("trace", "", "write a Chrome/Perfetto trace of the experiment's designated cell to this file")
-		metPath   = flag.String("metrics", "", "write the designated cell's gauge time series to this file as JSON Lines")
-		metEvery  = flag.Int("metrics-interval", 0, "metrics sampling period in simulated cycles (0 = default 4096); requires -metrics")
-		profPath  = flag.String("profile", "", "write the designated cell's cycle-attribution profile to this file as a gzipped pprof proto (go tool pprof)")
-		flamePath = flag.String("flame", "", "write the designated cell's cycle attribution to this file as folded flamegraph stacks (flamegraph.pl, speedscope)")
-		bench     = flag.Bool("bench", false, "run the benchmark suite and write per-benchmark ns/op, allocs/op and simulated cycles")
-		benchOut  = flag.String("benchout", "BENCH_pr4.json", "output path for -bench")
-		benchGate = flag.String("benchgate", "", "baseline JSON to gate -bench against: fail on any shared benchmark regressing more than 3x in ns/op")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
-	)
+	var f cliFlags
+	flag.BoolVar(&f.list, "list", false, "list available experiments and exit")
+	flag.StringVar(&f.exp, "exp", "", "experiment id to run, or \"all\"")
+	flag.StringVar(&f.scale, "scale", "small", "dataset scale: tiny, small or paper")
+	flag.Uint64Var(&f.seed, "seed", 42, "workload generation seed")
+	flag.IntVar(&f.window, "window", 0, "override the number of in-flight lookups (0 = per-experiment default)")
+	flag.IntVar(&f.workers, "workers", 0, "cap the parallel experiments' worker sweep (0 = default sweep 1,2,4,8,16); serveN worker count")
+	flag.IntVar(&f.parallel, "parallel", 0, "host workers for independent sweep points (0 = all cores, 1 = serial); results are identical for every value")
+	flag.StringVar(&f.arrivals, "arrivals", "", "serving arrival process: deterministic, poisson (default) or bursty")
+	flag.IntVar(&f.qcap, "qcap", 0, "bound the serving admission queue and drop on overflow (0 = unbounded blocking queue)")
+	flag.StringVar(&f.plans, "plans", "", "pipeline plan filter: comma-separated case-insensitive substrings of pipeN plan names (empty = every plan)")
+	flag.IntVar(&f.burst, "burst", 0, "pipeline pump lease size: admissions per upstream lease (0 = pipeline default)")
+	flag.IntVar(&f.pipeCap, "pipecap", 0, "pipeline inter-stage pipe capacity in rows, the backpressure bound (0 = pipeline default)")
+	flag.StringVar(&f.faults, "faults", "", "faultN chaos schedule: comma-separated \"kind:shard@start+dur[xfactor]\" episodes or \"rand:SEED[:N]\" (empty = default scenario)")
+	flag.IntVar(&f.deadline, "deadline", 0, "faultN per-request deadline in cycles (0 = derive 2x the clean-run p99)")
+	flag.IntVar(&f.slo, "slo", 0, "faultN p99 SLO budget in cycles; enables the brownout row (0 = omit it)")
+	flag.BoolVar(&f.jsonOut, "json", false, "emit results as JSON Lines (one object per table row) instead of text tables")
+	flag.StringVar(&f.tracePath, "trace", "", "write a Chrome/Perfetto trace of the experiment's designated cell to this file")
+	flag.StringVar(&f.metPath, "metrics", "", "write the designated cell's gauge time series to this file as JSON Lines")
+	flag.IntVar(&f.metEvery, "metrics-interval", 0, "metrics sampling period in simulated cycles (0 = default 4096); requires -metrics")
+	flag.StringVar(&f.profPath, "profile", "", "write the designated cell's cycle-attribution profile to this file as a gzipped pprof proto (go tool pprof)")
+	flag.StringVar(&f.flamePath, "flame", "", "write the designated cell's cycle attribution to this file as folded flamegraph stacks (flamegraph.pl, speedscope)")
+	flag.StringVar(&f.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
+	flag.StringVar(&f.memProf, "memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if f.list || f.exp == "" {
+		listExperiments(os.Stdout)
+		if !f.list {
+			fmt.Println("\nrun with -exp <id> or -exp all")
+		}
+		return
+	}
+	if err := validateFlags(f, flag.Visit); err != nil {
+		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
+		if errors.Is(err, errUnknownExperiment) {
+			fmt.Fprintln(os.Stderr)
+			listExperiments(os.Stderr)
+		}
+		os.Exit(2)
+	}
+
+	if f.cpuProf != "" {
+		pf, err := os.Create(f.cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(pf); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			pf.Close()
 		}()
 	}
-	if *memProf != "" {
+	if f.memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
+			pf, err := os.Create(f.memProf)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
 			}
-			defer f.Close()
+			defer pf.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := pprof.WriteHeapProfile(pf); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
 	}
 
-	if *list || (*exp == "" && !*bench) {
-		listExperiments(os.Stdout)
-		if *exp == "" && !*list {
-			fmt.Println("\nrun with -exp <id>, -exp all, or -bench")
-		}
-		return
-	}
-
-	if err := validateExplicitZero(flag.Visit); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if *window < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -window must be non-negative, got %d\n", *window)
-		os.Exit(2)
-	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -workers must be non-negative, got %d\n", *workers)
-		os.Exit(2)
-	}
-	if *qcap < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -qcap must be non-negative, got %d\n", *qcap)
-		os.Exit(2)
-	}
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -parallel must be non-negative, got %d\n", *parallel)
-		os.Exit(2)
-	}
-	if _, err := serve.ParseArrivals(*arrivals, 1); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateServingFlags(*exp, *bench, *arrivals, *qcap); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if *burst < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -burst must be non-negative, got %d\n", *burst)
-		os.Exit(2)
-	}
-	if *pipeCap < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -pipecap must be non-negative, got %d\n", *pipeCap)
-		os.Exit(2)
-	}
-	if err := experiments.ValidatePipePlans(*plans); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validatePipelineFlags(*exp, *bench, *plans, *burst, *pipeCap); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateObsFlags(*exp, *bench, *tracePath, *metPath, *metEvery); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateProfFlags(*exp, *bench, *profPath, *flamePath); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateFaultFlags(*exp, *bench, *faults, *slo, *deadline); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	sc, err := experiments.ParseScale(*scale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	// validateFlags has checked f.scale with experiments.ParseScale.
 	cfg := experiments.Config{
-		Scale: sc, Seed: *seed, Window: *window, Workers: *workers,
-		Arrivals: *arrivals, QueueCap: *qcap, Parallel: *parallel,
-		Plans: *plans, Burst: *burst, PipeCap: *pipeCap,
-		Faults: *faults, Deadline: *deadline, SLOBudget: *slo,
+		Scale: experiments.Scale(f.scale), Seed: f.seed, Window: f.window, Workers: f.workers,
+		Arrivals: f.arrivals, QueueCap: f.qcap, Parallel: f.parallel,
+		Plans: f.plans, Burst: f.burst, PipeCap: f.pipeCap,
+		Faults: f.faults, Deadline: f.deadline, SLOBudget: f.slo,
 	}
-	if *tracePath != "" {
+	if f.tracePath != "" {
 		cfg.Trace = obs.NewTrace(0)
 	}
-	if *metPath != "" {
-		cfg.Metrics = obs.NewMetrics(*metEvery)
+	if f.metPath != "" {
+		cfg.Metrics = obs.NewMetrics(f.metEvery)
 	}
-	if *profPath != "" || *flamePath != "" {
+	if f.profPath != "" || f.flamePath != "" {
 		cfg.Profile = prof.NewProfile()
 	}
 
-	if *bench {
-		if err := runBenchSuite(*benchOut, cfg, *scale, *seed, *benchGate); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var ids []string
-	if *exp == "all" {
+	ids := []string{f.exp}
+	if f.exp == "all" {
+		ids = nil
 		for _, d := range experiments.Registry() {
 			ids = append(ids, d.ID)
 		}
-	} else {
-		if _, ok := experiments.Find(*exp); !ok {
-			fmt.Fprintf(os.Stderr, "amacbench: unknown experiment %q\n\n", *exp)
-			listExperiments(os.Stderr)
-			os.Exit(2)
-		}
-		ids = []string{*exp}
 	}
 
 	for _, id := range ids {
@@ -228,7 +181,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if *jsonOut {
+		if f.jsonOut {
 			if err := profile.WriteJSONRows(os.Stdout, id, tables); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -243,23 +196,64 @@ func main() {
 	}
 
 	if cfg.Trace != nil {
-		if err := writeTrace(*tracePath, cfg.Trace); err != nil {
+		if err := writeTrace(f.tracePath, cfg.Trace); err != nil {
 			fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
 			os.Exit(1)
 		}
 	}
 	if cfg.Metrics != nil {
-		if err := writeMetrics(*metPath, cfg.Metrics); err != nil {
+		if err := writeMetrics(f.metPath, cfg.Metrics); err != nil {
 			fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
 			os.Exit(1)
 		}
 	}
 	if cfg.Profile != nil {
-		if err := writeProfiles(*profPath, *flamePath, cfg.Profile); err != nil {
+		if err := writeProfiles(f.profPath, f.flamePath, cfg.Profile); err != nil {
 			fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// validateFlags checks the whole command line before any file is created or
+// workload built, so that every bad combination exits 2 with one message
+// instead of panicking mid-run or silently ignoring a knob. visit is
+// flag.Visit: it sees only the flags actually set.
+func validateFlags(f cliFlags, visit func(func(*flag.Flag))) error {
+	if _, ok := experiments.Find(f.exp); !ok && f.exp != "all" {
+		return fmt.Errorf("%w %q", errUnknownExperiment, f.exp)
+	}
+	if err := validateExplicitZero(visit); err != nil {
+		return err
+	}
+	for _, n := range []struct {
+		name string
+		v    int
+	}{
+		{"window", f.window}, {"workers", f.workers}, {"qcap", f.qcap},
+		{"parallel", f.parallel}, {"burst", f.burst}, {"pipecap", f.pipeCap},
+	} {
+		if n.v < 0 {
+			return fmt.Errorf("-%s must be non-negative, got %d", n.name, n.v)
+		}
+	}
+	_, scaleErr := experiments.ParseScale(f.scale)
+	_, arrivalsErr := serve.ParseArrivals(f.arrivals, 1)
+	for _, err := range []error{
+		scaleErr,
+		arrivalsErr,
+		validateServingFlags(f.exp, f.arrivals, f.qcap),
+		experiments.ValidatePipePlans(f.plans),
+		validatePipelineFlags(f.exp, f.plans, f.burst, f.pipeCap),
+		validateObsFlags(f.exp, f.tracePath, f.metPath, f.metEvery),
+		validateProfFlags(f.exp, f.profPath, f.flamePath),
+		validateFaultFlags(f.exp, f.faults, f.slo, f.deadline),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeTrace exports the accumulated event trace as Chrome trace-event JSON
@@ -351,7 +345,7 @@ func validateExplicitZero(visit func(func(*flag.Flag))) error {
 			return
 		}
 		switch f.Name {
-		case "deadline", "qcap", "pipecap", "metrics-interval", "slo":
+		case "seed", "deadline", "qcap", "pipecap", "metrics-interval", "slo":
 			if f.Value.String() == "0" {
 				bad = f.Name
 			}
@@ -374,9 +368,8 @@ var servingExperiments = map[string]bool{
 
 // validateServingFlags rejects -arrivals/-qcap combinations that would
 // silently no-op: the flags only affect the serving experiments, so asking
-// for them alongside a non-serving experiment (or -bench, whose serving
-// scenarios are fixed) is a mistake, not a preference.
-func validateServingFlags(exp string, bench bool, arrivals string, qcap int) error {
+// for them alongside a non-serving experiment is a mistake, not a preference.
+func validateServingFlags(exp, arrivals string, qcap int) error {
 	if arrivals == "" && qcap == 0 {
 		return nil
 	}
@@ -385,9 +378,6 @@ func validateServingFlags(exp string, bench bool, arrivals string, qcap int) err
 		set = "-qcap"
 	} else if qcap != 0 {
 		set = "-arrivals/-qcap"
-	}
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite fixes its serving scenarios)", set)
 	}
 	if exp == "all" || servingExperiments[exp] {
 		return nil
@@ -404,9 +394,9 @@ var pipelineExperiments = map[string]bool{
 
 // validatePipelineFlags rejects -plans/-burst/-pipecap combinations that
 // would silently no-op, mirroring validateServingFlags: the flags only affect
-// the pipeline experiments, so asking for them alongside anything else (or
-// -bench, whose pipeline scenarios are fixed) is a mistake, not a preference.
-func validatePipelineFlags(exp string, bench bool, plans string, burst, pipeCap int) error {
+// the pipeline experiments, so asking for them alongside anything else is a
+// mistake, not a preference.
+func validatePipelineFlags(exp, plans string, burst, pipeCap int) error {
 	if plans == "" && burst == 0 && pipeCap == 0 {
 		return nil
 	}
@@ -421,9 +411,6 @@ func validatePipelineFlags(exp string, bench bool, plans string, burst, pipeCap 
 		set = append(set, "-pipecap")
 	}
 	s := strings.Join(set, "/")
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite fixes its pipeline scenarios)", s)
-	}
 	if exp == "all" || pipelineExperiments[exp] {
 		return nil
 	}
@@ -455,7 +442,7 @@ var metricsExperiments = map[string]bool{
 // serving and pipeline flag guards: the sinks record one experiment's
 // designated cell, so they need exactly one experiment that has one, and an
 // interval is meaningless without a metrics file to sample into.
-func validateObsFlags(exp string, bench bool, trace, metrics string, interval int) error {
+func validateObsFlags(exp, trace, metrics string, interval int) error {
 	if interval < 0 {
 		return fmt.Errorf("-metrics-interval must be non-negative, got %d", interval)
 	}
@@ -473,9 +460,6 @@ func validateObsFlags(exp string, bench bool, trace, metrics string, interval in
 		set = append(set, "-metrics")
 	}
 	s := strings.Join(set, "/")
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite runs untraced by design)", s)
-	}
 	if exp == "all" {
 		return fmt.Errorf("%s needs a single experiment, not -exp all (each file holds one experiment's designated cell)", s)
 	}
@@ -499,7 +483,7 @@ var profExperiments = map[string]bool{
 // produce an empty export, mirroring validateObsFlags: the profiler records
 // one experiment's designated cell, so it needs exactly one experiment that
 // has one.
-func validateProfFlags(exp string, bench bool, profPath, flamePath string) error {
+func validateProfFlags(exp, profPath, flamePath string) error {
 	if profPath == "" && flamePath == "" {
 		return nil
 	}
@@ -511,9 +495,6 @@ func validateProfFlags(exp string, bench bool, profPath, flamePath string) error
 		set = append(set, "-flame")
 	}
 	s := strings.Join(set, "/")
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite runs unprofiled by design)", s)
-	}
 	if exp == "all" {
 		return fmt.Errorf("%s needs a single experiment, not -exp all (each file holds one experiment's designated cell)", s)
 	}
@@ -533,7 +514,7 @@ var faultExperiments = map[string]bool{
 // validateFaultFlags rejects -faults/-deadline/-slo combinations that would
 // silently no-op, mirroring the other flag guards, and parses the -faults
 // spec up front so a malformed schedule fails before any workload is built.
-func validateFaultFlags(exp string, bench bool, faults string, slo, deadline int) error {
+func validateFaultFlags(exp, faults string, slo, deadline int) error {
 	if deadline < 0 {
 		return fmt.Errorf("-deadline must be non-negative, got %d", deadline)
 	}
@@ -559,9 +540,6 @@ func validateFaultFlags(exp string, bench bool, faults string, slo, deadline int
 		set = append(set, "-slo")
 	}
 	s := strings.Join(set, "/")
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite fixes its scenarios)", s)
-	}
 	if exp == "all" || faultExperiments[exp] {
 		return nil
 	}

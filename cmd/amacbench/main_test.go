@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -13,13 +16,12 @@ import (
 )
 
 // TestValidateServingFlags: -arrivals/-qcap must be rejected whenever they
-// would silently no-op — any non-serving experiment, and the benchmark
-// suite — and accepted for the serving experiments and -exp all.
+// would silently no-op — any non-serving experiment — and accepted for the
+// serving experiments and -exp all.
 func TestValidateServingFlags(t *testing.T) {
 	cases := []struct {
 		name     string
 		exp      string
-		bench    bool
 		arrivals string
 		qcap     int
 		wantErr  string // substring; empty means valid
@@ -33,13 +35,10 @@ func TestValidateServingFlags(t *testing.T) {
 		{name: "fig5b with qcap", exp: "fig5b", qcap: 8, wantErr: "-qcap only affects"},
 		{name: "table3 with both", exp: "table3", arrivals: "poisson", qcap: 4, wantErr: "-arrivals/-qcap only affects"},
 		{name: "scaleN with qcap", exp: "scaleN", qcap: 16, wantErr: "only affects the serving experiments"},
-		{name: "bench with arrivals", bench: true, arrivals: "bursty", wantErr: "no effect with -bench"},
-		{name: "bench with qcap", bench: true, qcap: 8, wantErr: "no effect with -bench"},
-		{name: "bench without serving flags", bench: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateServingFlags(tc.exp, tc.bench, tc.arrivals, tc.qcap)
+			err := validateServingFlags(tc.exp, tc.arrivals, tc.qcap)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -61,20 +60,19 @@ func TestValidateServingFlags(t *testing.T) {
 // future serving experiment cannot silently fall out of the allowlist.
 func TestServingExperimentsRegistered(t *testing.T) {
 	for id := range servingExperiments {
-		if err := validateServingFlags(id, false, "bursty", 8); err != nil {
+		if err := validateServingFlags(id, "bursty", 8); err != nil {
 			t.Fatalf("serving experiment %q rejected: %v", id, err)
 		}
 	}
 }
 
 // TestValidatePipelineFlags: -plans/-burst/-pipecap must be rejected whenever
-// they would silently no-op — any non-pipeline experiment, and the benchmark
-// suite — and accepted for the pipeline experiment and -exp all.
+// they would silently no-op — any non-pipeline experiment — and accepted for
+// the pipeline experiment and -exp all.
 func TestValidatePipelineFlags(t *testing.T) {
 	cases := []struct {
 		name    string
 		exp     string
-		bench   bool
 		plans   string
 		burst   int
 		pipeCap int
@@ -91,13 +89,10 @@ func TestValidatePipelineFlags(t *testing.T) {
 		{name: "serveN with pipecap", exp: "serveN", pipeCap: 8, wantErr: "-pipecap only affects"},
 		{name: "table3 with plans and burst", exp: "table3", plans: "agg", burst: 8, wantErr: "-plans/-burst only affects"},
 		{name: "scaleN with all three", exp: "scaleN", plans: "bst", burst: 4, pipeCap: 8, wantErr: "-plans/-burst/-pipecap only affects"},
-		{name: "bench with plans", bench: true, plans: "mixed", wantErr: "no effect with -bench"},
-		{name: "bench with burst", bench: true, burst: 8, wantErr: "no effect with -bench"},
-		{name: "bench without pipeline flags", bench: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validatePipelineFlags(tc.exp, tc.bench, tc.plans, tc.burst, tc.pipeCap)
+			err := validatePipelineFlags(tc.exp, tc.plans, tc.burst, tc.pipeCap)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -118,7 +113,7 @@ func TestValidatePipelineFlags(t *testing.T) {
 // the pipeline flags.
 func TestPipelineExperimentsRegistered(t *testing.T) {
 	for id := range pipelineExperiments {
-		if err := validatePipelineFlags(id, false, "mixed", 8, 16); err != nil {
+		if err := validatePipelineFlags(id, "mixed", 8, 16); err != nil {
 			t.Fatalf("pipeline experiment %q rejected: %v", id, err)
 		}
 	}
@@ -126,14 +121,12 @@ func TestPipelineExperimentsRegistered(t *testing.T) {
 
 // TestValidateObsFlags: -trace/-metrics/-metrics-interval must be rejected
 // whenever they would silently produce an empty or meaningless export — an
-// experiment without a designated cell, -exp all, the benchmark suite, or an
-// interval with no metrics file — and accepted for the allowlisted
-// experiments.
+// experiment without a designated cell, -exp all, or an interval with no
+// metrics file — and accepted for the allowlisted experiments.
 func TestValidateObsFlags(t *testing.T) {
 	cases := []struct {
 		name     string
 		exp      string
-		bench    bool
 		trace    string
 		metrics  string
 		interval int
@@ -152,13 +145,10 @@ func TestValidateObsFlags(t *testing.T) {
 		{name: "metrics with pipeN", exp: "pipeN", metrics: "m.jsonl", wantErr: "-metrics only samples"},
 		{name: "trace with exp all", exp: "all", trace: "t.json", wantErr: "not -exp all"},
 		{name: "metrics with exp all", exp: "all", metrics: "m.jsonl", wantErr: "not -exp all"},
-		{name: "bench with trace", bench: true, trace: "t.json", wantErr: "no effect with -bench"},
-		{name: "bench with metrics", bench: true, metrics: "m.jsonl", wantErr: "no effect with -bench"},
-		{name: "bench without obs flags", bench: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateObsFlags(tc.exp, tc.bench, tc.trace, tc.metrics, tc.interval)
+			err := validateObsFlags(tc.exp, tc.trace, tc.metrics, tc.interval)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -183,7 +173,7 @@ func TestObsExperimentsRegistered(t *testing.T) {
 		if _, ok := experiments.Find(id); !ok {
 			t.Fatalf("trace allowlist entry %q is not a registered experiment", id)
 		}
-		if err := validateObsFlags(id, false, "t.json", "", 0); err != nil {
+		if err := validateObsFlags(id, "t.json", "", 0); err != nil {
 			t.Fatalf("trace experiment %q rejected: %v", id, err)
 		}
 	}
@@ -191,7 +181,7 @@ func TestObsExperimentsRegistered(t *testing.T) {
 		if _, ok := experiments.Find(id); !ok {
 			t.Fatalf("metrics allowlist entry %q is not a registered experiment", id)
 		}
-		if err := validateObsFlags(id, false, "", "m.jsonl", 0); err != nil {
+		if err := validateObsFlags(id, "", "m.jsonl", 0); err != nil {
 			t.Fatalf("metrics experiment %q rejected: %v", id, err)
 		}
 	}
@@ -199,13 +189,12 @@ func TestObsExperimentsRegistered(t *testing.T) {
 
 // TestValidateProfFlags: -profile/-flame must be rejected whenever they
 // would silently produce an empty export — an experiment without a
-// designated profile cell, -exp all, or the benchmark suite — and accepted
-// for the allowlisted experiments.
+// designated profile cell or -exp all — and accepted for the allowlisted
+// experiments.
 func TestValidateProfFlags(t *testing.T) {
 	cases := []struct {
 		name    string
 		exp     string
-		bench   bool
 		prof    string
 		flame   string
 		wantErr string // substring; empty means valid
@@ -219,12 +208,10 @@ func TestValidateProfFlags(t *testing.T) {
 		{name: "flame with obsN", exp: "obsN", flame: "f.txt", wantErr: "-flame only records"},
 		{name: "both with adaptN", exp: "adaptN", prof: "p.pb.gz", flame: "f.txt", wantErr: "-profile/-flame only records"},
 		{name: "profile with exp all", exp: "all", prof: "p.pb.gz", wantErr: "not -exp all"},
-		{name: "bench with flame", bench: true, flame: "f.txt", wantErr: "no effect with -bench"},
-		{name: "bench without prof flags", bench: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateProfFlags(tc.exp, tc.bench, tc.prof, tc.flame)
+			err := validateProfFlags(tc.exp, tc.prof, tc.flame)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -249,7 +236,7 @@ func TestProfExperimentsRegistered(t *testing.T) {
 		if _, ok := experiments.Find(id); !ok {
 			t.Fatalf("profile allowlist entry %q is not a registered experiment", id)
 		}
-		if err := validateProfFlags(id, false, "p.pb.gz", "f.txt"); err != nil {
+		if err := validateProfFlags(id, "p.pb.gz", "f.txt"); err != nil {
 			t.Fatalf("profiled experiment %q rejected: %v", id, err)
 		}
 	}
@@ -275,6 +262,8 @@ func TestValidateExplicitZero(t *testing.T) {
 		{name: "explicit zero pipecap", args: []string{"-pipecap", "0"}, wantErr: "-pipecap 0 is meaningless"},
 		{name: "explicit zero metrics-interval", args: []string{"-metrics-interval", "0"}, wantErr: "-metrics-interval 0 is meaningless"},
 		{name: "zero among valid flags", args: []string{"-qcap", "32", "-pipecap", "0"}, wantErr: "-pipecap 0 is meaningless"},
+		{name: "nonzero seed", args: []string{"-seed", "7"}},
+		{name: "explicit zero seed", args: []string{"-seed", "0"}, wantErr: "-seed 0 is meaningless"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -285,6 +274,7 @@ func TestValidateExplicitZero(t *testing.T) {
 			fs.Int("metrics-interval", 0, "")
 			fs.Int("deadline", 0, "")
 			fs.Int("slo", 0, "")
+			fs.Uint64("seed", 42, "")
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatal(err)
 			}
@@ -306,14 +296,13 @@ func TestValidateExplicitZero(t *testing.T) {
 }
 
 // TestValidateFaultFlags: -faults/-deadline/-slo must be rejected whenever
-// they would silently no-op — any non-fault experiment, and the benchmark
-// suite — or carry a malformed schedule or negative budget; and accepted for
-// the fault experiment and -exp all.
+// they would silently no-op — any non-fault experiment — or carry a malformed
+// schedule or negative budget; and accepted for the fault experiment and
+// -exp all.
 func TestValidateFaultFlags(t *testing.T) {
 	cases := []struct {
 		name     string
 		exp      string
-		bench    bool
 		faults   string
 		slo      int
 		deadline int
@@ -334,13 +323,10 @@ func TestValidateFaultFlags(t *testing.T) {
 		{name: "serveN with deadline", exp: "serveN", deadline: 4000, wantErr: "-deadline only affects"},
 		{name: "serveN with slo", exp: "serveN", slo: 4000, wantErr: "-slo only affects"},
 		{name: "table3 with all three", exp: "table3", faults: "rand:1", slo: 2, deadline: 3, wantErr: "-faults/-deadline/-slo only affects"},
-		{name: "bench with faults", bench: true, faults: "rand:1", wantErr: "no effect with -bench"},
-		{name: "bench with slo", bench: true, slo: 100, wantErr: "no effect with -bench"},
-		{name: "bench without fault flags", bench: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFaultFlags(tc.exp, tc.bench, tc.faults, tc.slo, tc.deadline)
+			err := validateFaultFlags(tc.exp, tc.faults, tc.slo, tc.deadline)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -365,7 +351,7 @@ func TestFaultExperimentsRegistered(t *testing.T) {
 		if _, ok := experiments.Find(id); !ok {
 			t.Fatalf("fault allowlist entry %q is not a registered experiment", id)
 		}
-		if err := validateFaultFlags(id, false, "rand:3", 100, 100); err != nil {
+		if err := validateFaultFlags(id, "rand:3", 100, 100); err != nil {
 			t.Fatalf("fault experiment %q rejected: %v", id, err)
 		}
 	}
@@ -478,5 +464,120 @@ func TestValidatePipePlans(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// runAsMainEnv makes the test binary run amacbench's main on its arguments
+// instead of the tests, so the flag tests can drive the real command line.
+const runAsMainEnv = "AMACBENCH_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runAsMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runAmacbench runs amacbench with args in an empty working directory and
+// returns its exit code, its standard error, and the names of the files it
+// left in that directory.
+func runAmacbench(t *testing.T, args ...string) (int, string, []string) {
+	t.Helper()
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), runAsMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	code := 0
+	var exitErr *exec.ExitError
+	if errors.As(err, &exitErr) {
+		code = exitErr.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	return code, stderr.String(), files
+}
+
+// TestInvalidFlagMatrix runs amacbench on every kind of invalid command line:
+// negative values, explicit zeros, unknown names, malformed specs and flags
+// outside their experiment's scope. Each must exit 2 with one amacbench:
+// message, never panic, and create no file before giving up.
+func TestInvalidFlagMatrix(t *testing.T) {
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string // substring of the message after "amacbench: "
+	}{
+		{"negative window", []string{"-exp", "fig6", "-window", "-1"}, "-window must be non-negative"},
+		{"negative workers", []string{"-exp", "scaleN", "-workers", "-2"}, "-workers must be non-negative"},
+		{"negative parallel", []string{"-exp", "fig6", "-parallel", "-1"}, "-parallel must be non-negative"},
+		{"negative qcap", []string{"-exp", "serveN", "-qcap", "-1"}, "-qcap must be non-negative"},
+		{"negative burst", []string{"-exp", "pipeN", "-burst", "-1"}, "-burst must be non-negative"},
+		{"negative pipecap", []string{"-exp", "pipeN", "-pipecap", "-8"}, "-pipecap must be non-negative"},
+		{"negative deadline", []string{"-exp", "faultN", "-deadline", "-1"}, "-deadline must be non-negative"},
+		{"negative slo", []string{"-exp", "faultN", "-slo", "-5"}, "-slo must be non-negative"},
+		{"negative metrics interval", []string{"-exp", "obsN", "-metrics", "m.jsonl", "-metrics-interval", "-1"}, "-metrics-interval must be non-negative"},
+		{"explicit zero seed", []string{"-exp", "fig3", "-seed", "0"}, "-seed 0 is meaningless"},
+		{"explicit zero qcap", []string{"-exp", "serveN", "-qcap", "0"}, "-qcap 0 is meaningless"},
+		{"explicit zero pipecap", []string{"-exp", "pipeN", "-pipecap", "0"}, "-pipecap 0 is meaningless"},
+		{"explicit zero deadline", []string{"-exp", "faultN", "-deadline", "0"}, "-deadline 0 is meaningless"},
+		{"explicit zero slo", []string{"-exp", "faultN", "-slo", "0"}, "-slo 0 is meaningless"},
+		{"explicit zero metrics interval", []string{"-exp", "obsN", "-metrics", "m.jsonl", "-metrics-interval", "0"}, "-metrics-interval 0 is meaningless"},
+		{"unknown experiment", []string{"-exp", "fig99"}, `unknown experiment "fig99"`},
+		{"unknown scale", []string{"-exp", "fig6", "-scale", "huge"}, `unknown scale "huge"`},
+		{"unknown arrivals", []string{"-exp", "serveN", "-arrivals", "uniform"}, `unknown arrival process "uniform"`},
+		{"malformed faults", []string{"-exp", "faultN", "-faults", "slow:0@bogus"}, "-faults"},
+		{"slow fault without factor", []string{"-exp", "faultN", "-faults", "slow:0@1000+2000"}, "-faults"},
+		{"empty plans token", []string{"-exp", "pipeN", "-plans", "mixed,,agg"}, "empty token"},
+		{"unknown plans token", []string{"-exp", "pipeN", "-plans", "nosuchplan"}, "matches no pipeN plan"},
+		{"arrivals outside serving", []string{"-exp", "fig6", "-arrivals", "bursty"}, "-arrivals only affects"},
+		{"burst outside pipeline", []string{"-exp", "fig6", "-burst", "8"}, "-burst only affects"},
+		{"faults outside faultN", []string{"-exp", "serveN", "-faults", "rand:1"}, "-faults only affects"},
+		{"trace outside its experiments", []string{"-exp", "fig6", "-trace", "t.json"}, "-trace only records"},
+		{"trace with exp all", []string{"-exp", "all", "-trace", "t.json"}, "not -exp all"},
+		{"metrics outside its experiments", []string{"-exp", "pipeN", "-metrics", "m.jsonl"}, "-metrics only samples"},
+		{"metrics interval without metrics", []string{"-exp", "obsN", "-metrics-interval", "2048"}, "-metrics-interval requires -metrics"},
+		{"profile outside its experiments", []string{"-exp", "fig6", "-profile", "p.pb.gz"}, "-profile only records"},
+		{"flame with exp all", []string{"-exp", "all", "-flame", "f.txt"}, "not -exp all"},
+		{"cpuprofile with a bad flag", []string{"-exp", "fig6", "-window", "-1", "-cpuprofile", "cpu.prof"}, "-window must be non-negative"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stderr, files := runAmacbench(t, tc.args...)
+			if code != 2 {
+				t.Fatalf("exit code %d, want 2; stderr:\n%s", code, stderr)
+			}
+			if !strings.HasPrefix(stderr, "amacbench: ") || !strings.Contains(stderr, tc.wantErr) {
+				t.Fatalf("stderr does not start with \"amacbench: \" or lacks %q:\n%s", tc.wantErr, stderr)
+			}
+			if strings.Contains(stderr, "panic:") || strings.Contains(stderr, "goroutine ") {
+				t.Fatalf("stderr shows a panic:\n%s", stderr)
+			}
+			if len(files) != 0 {
+				t.Fatalf("rejected run created %v", files)
+			}
+		})
+	}
+}
+
+// TestRemovedBenchFlags: the old benchmark-ledger flags are gone, so the
+// flag parser rejects them with exit code 2.
+func TestRemovedBenchFlags(t *testing.T) {
+	for _, args := range [][]string{{"-bench"}, {"-bench", "-exp", "fig6"}} {
+		code, stderr, _ := runAmacbench(t, args...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
+			t.Fatalf("%v: exit code %d, stderr:\n%s", args, code, stderr)
+		}
 	}
 }

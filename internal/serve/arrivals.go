@@ -114,11 +114,22 @@ func (b Bursty) Schedule(n int, seed uint64) []uint64 {
 	return out
 }
 
+// MaxArrivalPeriod is the largest mean inter-arrival period ParseArrivals
+// accepts, in cycles. It keeps every schedule's arrival cycles far below
+// 2^63: a schedule of n requests ends near n*period, and converting a larger
+// float to uint64 saturates or wraps, so the schedule would go backwards.
+const MaxArrivalPeriod = 1 << 32
+
 // ParseArrivals builds the named process at the given mean inter-arrival
 // period: "deterministic", "poisson" (the default for empty input), or
 // "bursty" (bursts of 32 at half the period, idle between bursts so the
-// long-run rate matches the requested period).
+// long-run rate matches the requested period). Periods below 1 cycle are
+// raised to 1; NaN, infinite periods and periods above MaxArrivalPeriod are
+// rejected.
 func ParseArrivals(name string, period float64) (ArrivalProcess, error) {
+	if math.IsNaN(period) || period > MaxArrivalPeriod || math.IsInf(period, -1) {
+		return nil, fmt.Errorf("serve: arrival period %v out of range (want a finite period of at most %d cycles)", period, uint64(MaxArrivalPeriod))
+	}
 	if period < 1 {
 		period = 1
 	}

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"math"
 	"testing"
 
 	"amac/internal/adapt"
@@ -82,6 +83,48 @@ func TestParseArrivals(t *testing.T) {
 	if _, err := serve.ParseArrivals("uniformly-random", 10); err == nil {
 		t.Fatal("unknown process must fail to parse")
 	}
+	// A period that is not finite, or so large that the schedule's cycles
+	// would overflow, must be an error rather than a schedule that goes
+	// backwards.
+	for _, name := range []string{"", "poisson", "deterministic", "bursty"} {
+		for _, period := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), serve.MaxArrivalPeriod + 1, 1e30} {
+			if _, err := serve.ParseArrivals(name, period); err == nil {
+				t.Errorf("ParseArrivals(%q, %v) accepted", name, period)
+			}
+		}
+		for _, period := range []float64{-5, 0, 0.5, serve.MaxArrivalPeriod} {
+			if _, err := serve.ParseArrivals(name, period); err != nil {
+				t.Errorf("ParseArrivals(%q, %v): %v", name, period, err)
+			}
+		}
+	}
+}
+
+// FuzzParseArrivals: every process ParseArrivals accepts must produce a
+// non-decreasing schedule of the requested length.
+func FuzzParseArrivals(f *testing.F) {
+	for _, name := range []string{"", "poisson", "deterministic", "bursty"} {
+		for _, period := range []float64{0, 1, 1.5, 260, 1e6, serve.MaxArrivalPeriod, math.NaN(), math.Inf(1), 1e30} {
+			f.Add(name, period, uint16(4096), uint64(7))
+		}
+	}
+	f.Fuzz(func(t *testing.T, name string, period float64, n uint16, seed uint64) {
+		proc, err := serve.ParseArrivals(name, period)
+		if err != nil {
+			return
+		}
+		count := int(n) % 4097
+		sched := proc.Schedule(count, seed)
+		if len(sched) != count {
+			t.Fatalf("%s at %v: Schedule(%d) returned %d arrivals", proc.Name(), period, count, len(sched))
+		}
+		for i := 1; i < len(sched); i++ {
+			if sched[i] < sched[i-1] {
+				t.Fatalf("%s at %v: arrival %d at cycle %d precedes arrival %d at cycle %d",
+					proc.Name(), period, i, sched[i], i-1, sched[i-1])
+			}
+		}
+	})
 }
 
 func chainLengths(n, l int) []int {

@@ -71,7 +71,8 @@ type (
 )
 
 // ParseArrivals builds the named arrival process ("deterministic",
-// "poisson", "bursty") at the given mean inter-arrival period.
+// "poisson", "bursty") at the given mean inter-arrival period. It rejects
+// NaN, infinite periods and periods above 2^32 cycles.
 func ParseArrivals(name string, period float64) (ArrivalProcess, error) {
 	return serve.ParseArrivals(name, period)
 }
