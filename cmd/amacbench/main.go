@@ -38,6 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -48,8 +49,8 @@ import (
 	"amac/internal/fault"
 	"amac/internal/obs"
 	"amac/internal/prof"
-	"amac/internal/profile"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 // cliFlags holds every command-line value.
@@ -78,38 +79,9 @@ var errUnknownExperiment = errors.New("unknown experiment")
 
 func main() {
 	var f cliFlags
-	flag.BoolVar(&f.list, "list", false, "list available experiments and exit")
-	flag.StringVar(&f.exp, "exp", "", "experiment id to run, or \"all\"")
-	flag.StringVar(&f.scale, "scale", "small", "dataset scale: tiny, small or paper")
-	flag.Uint64Var(&f.seed, "seed", 42, "workload generation seed")
-	flag.IntVar(&f.window, "window", 0, "override the number of in-flight lookups (0 = per-experiment default)")
-	flag.IntVar(&f.workers, "workers", 0, "cap the parallel experiments' worker sweep (0 = default sweep 1,2,4,8,16); serveN worker count")
-	flag.IntVar(&f.parallel, "parallel", 0, "host workers for independent sweep points (0 = all cores, 1 = serial); results are identical for every value")
-	flag.StringVar(&f.arrivals, "arrivals", "", "serving arrival process: deterministic, poisson (default) or bursty")
-	flag.IntVar(&f.qcap, "qcap", 0, "bound the serving admission queue and drop on overflow (0 = unbounded blocking queue)")
-	flag.StringVar(&f.plans, "plans", "", "pipeline plan filter: comma-separated case-insensitive substrings of pipeN plan names (empty = every plan)")
-	flag.IntVar(&f.burst, "burst", 0, "pipeline pump lease size: admissions per upstream lease (0 = pipeline default)")
-	flag.IntVar(&f.pipeCap, "pipecap", 0, "pipeline inter-stage pipe capacity in rows, the backpressure bound (0 = pipeline default)")
-	flag.StringVar(&f.faults, "faults", "", "faultN chaos schedule: comma-separated \"kind:shard@start+dur[xfactor]\" episodes or \"rand:SEED[:N]\" (empty = default scenario)")
-	flag.IntVar(&f.deadline, "deadline", 0, "faultN per-request deadline in cycles (0 = derive 2x the clean-run p99)")
-	flag.IntVar(&f.slo, "slo", 0, "faultN p99 SLO budget in cycles; enables the brownout row (0 = omit it)")
-	flag.BoolVar(&f.jsonOut, "json", false, "emit results as JSON Lines (one object per table row) instead of text tables")
-	flag.StringVar(&f.tracePath, "trace", "", "write a Chrome/Perfetto trace of the experiment's designated cell to this file")
-	flag.StringVar(&f.metPath, "metrics", "", "write the designated cell's gauge time series to this file as JSON Lines")
-	flag.IntVar(&f.metEvery, "metrics-interval", 0, "metrics sampling period in simulated cycles (0 = default 4096); requires -metrics")
-	flag.StringVar(&f.profPath, "profile", "", "write the designated cell's cycle-attribution profile to this file as a gzipped pprof proto (go tool pprof)")
-	flag.StringVar(&f.flamePath, "flame", "", "write the designated cell's cycle attribution to this file as folded flamegraph stacks (flamegraph.pl, speedscope)")
-	flag.StringVar(&f.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
-	flag.StringVar(&f.memProf, "memprofile", "", "write a heap profile at exit to this file")
+	defineFlags(flag.CommandLine, &f)
 	flag.Parse()
 
-	if f.list || f.exp == "" {
-		listExperiments(os.Stdout)
-		if !f.list {
-			fmt.Println("\nrun with -exp <id> or -exp all")
-		}
-		return
-	}
 	if err := validateFlags(f, flag.Visit); err != nil {
 		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
 		if errors.Is(err, errUnknownExperiment) {
@@ -117,6 +89,13 @@ func main() {
 			listExperiments(os.Stderr)
 		}
 		os.Exit(2)
+	}
+	if f.list || f.exp == "" {
+		listExperiments(os.Stdout)
+		if !f.list {
+			fmt.Println("\nrun with -exp <id> or -exp all")
+		}
+		return
 	}
 
 	if f.cpuProf != "" {
@@ -157,13 +136,13 @@ func main() {
 		Faults: f.faults, Deadline: f.deadline, SLOBudget: f.slo,
 	}
 	if f.tracePath != "" {
-		cfg.Trace = obs.NewTrace(0)
+		cfg.Sinks.Trace = obs.NewTrace(0)
 	}
 	if f.metPath != "" {
-		cfg.Metrics = obs.NewMetrics(f.metEvery)
+		cfg.Sinks.Metrics = obs.NewMetrics(f.metEvery)
 	}
 	if f.profPath != "" || f.flamePath != "" {
-		cfg.Profile = prof.NewProfile()
+		cfg.Sinks.Profile = prof.NewProfile()
 	}
 
 	ids := []string{f.exp}
@@ -182,7 +161,7 @@ func main() {
 			os.Exit(1)
 		}
 		if f.jsonOut {
-			if err := profile.WriteJSONRows(os.Stdout, id, tables); err != nil {
+			if err := table.WriteJSONRows(os.Stdout, id, tables); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -195,24 +174,63 @@ func main() {
 		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
-	if cfg.Trace != nil {
-		if err := writeTrace(f.tracePath, cfg.Trace); err != nil {
-			fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-			os.Exit(1)
-		}
+	if err := writeExports(f, cfg.Sinks); err != nil {
+		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
+		os.Exit(1)
 	}
-	if cfg.Metrics != nil {
-		if err := writeMetrics(f.metPath, cfg.Metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if cfg.Profile != nil {
-		if err := writeProfiles(f.profPath, f.flamePath, cfg.Profile); err != nil {
-			fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
+}
+
+// defineFlags registers every command-line flag on fs, bound to f.
+func defineFlags(fs *flag.FlagSet, f *cliFlags) {
+	fs.BoolVar(&f.list, "list", false, "list available experiments and exit")
+	fs.StringVar(&f.exp, "exp", "", "experiment id to run, or \"all\"")
+	fs.StringVar(&f.scale, "scale", "small", "dataset scale: tiny, small or paper")
+	fs.Uint64Var(&f.seed, "seed", 42, "workload generation seed")
+	fs.IntVar(&f.window, "window", 0, "override the number of in-flight lookups (0 = per-experiment default)")
+	fs.IntVar(&f.workers, "workers", 0, "cap the parallel experiments' worker sweep (0 = default sweep 1,2,4,8,16); serveN worker count")
+	fs.IntVar(&f.parallel, "parallel", 0, "host workers for independent sweep points (0 = all cores, 1 = serial); results are identical for every value")
+	fs.StringVar(&f.arrivals, "arrivals", "", "serving arrival process: deterministic, poisson (default) or bursty")
+	fs.IntVar(&f.qcap, "qcap", 0, "bound the serving admission queue and drop on overflow (0 = unbounded blocking queue)")
+	fs.StringVar(&f.plans, "plans", "", "pipeline plan filter: comma-separated case-insensitive substrings of pipeN plan names (empty = every plan)")
+	fs.IntVar(&f.burst, "burst", 0, "pipeline pump lease size: admissions per upstream lease (0 = pipeline default)")
+	fs.IntVar(&f.pipeCap, "pipecap", 0, "pipeline inter-stage pipe capacity in rows, the backpressure bound (0 = pipeline default)")
+	fs.StringVar(&f.faults, "faults", "", "faultN chaos schedule: comma-separated \"kind:shard@start+dur[xfactor]\" episodes or \"rand:SEED[:N]\" (empty = default scenario)")
+	fs.IntVar(&f.deadline, "deadline", 0, "faultN per-request deadline in cycles (0 = derive 2x the clean-run p99)")
+	fs.IntVar(&f.slo, "slo", 0, "faultN p99 SLO budget in cycles; enables the brownout row (0 = omit it)")
+	fs.BoolVar(&f.jsonOut, "json", false, "emit results as JSON Lines (one object per table row) instead of text tables")
+	fs.StringVar(&f.tracePath, "trace", "", "write a Chrome/Perfetto trace of the experiment's designated cell to this file")
+	fs.StringVar(&f.metPath, "metrics", "", "write the designated cell's gauge time series to this file as JSON Lines")
+	fs.IntVar(&f.metEvery, "metrics-interval", 0, "metrics sampling period in simulated cycles (0 = default 4096); requires -metrics")
+	fs.StringVar(&f.profPath, "profile", "", "write the designated cell's cycle-attribution profile to this file as a gzipped pprof proto (go tool pprof)")
+	fs.StringVar(&f.flamePath, "flame", "", "write the designated cell's cycle attribution to this file as folded flamegraph stacks (flamegraph.pl, speedscope)")
+	fs.StringVar(&f.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&f.memProf, "memprofile", "", "write a heap profile at exit to this file")
+}
+
+// flagScopes maps every experiment-specific flag to the Uses bit an
+// experiment must declare for the flag to reach it; the registry's Uses
+// declarations are the only record of which experiment reads what. withAll
+// marks the knobs -exp all may carry (the experiments that do not read them
+// run unchanged); a sink file holds one experiment's designated cell, so the
+// sink flags need a single experiment.
+var flagScopes = []struct {
+	flag    string
+	use     experiments.Uses
+	withAll bool
+	verb    string
+}{
+	{"arrivals", experiments.UsesServing, true, "affects"},
+	{"qcap", experiments.UsesServing, true, "affects"},
+	{"plans", experiments.UsesPipeline, true, "affects"},
+	{"burst", experiments.UsesPipeline, true, "affects"},
+	{"pipecap", experiments.UsesPipeline, true, "affects"},
+	{"faults", experiments.UsesFaults, true, "affects"},
+	{"deadline", experiments.UsesFaults, true, "affects"},
+	{"slo", experiments.UsesFaults, true, "affects"},
+	{"trace", experiments.UsesTrace, false, "records"},
+	{"metrics", experiments.UsesMetrics, false, "samples"},
+	{"profile", experiments.UsesProfile, false, "records"},
+	{"flame", experiments.UsesProfile, false, "records"},
 }
 
 // validateFlags checks the whole command line before any file is created or
@@ -220,7 +238,19 @@ func main() {
 // instead of panicking mid-run or silently ignoring a knob. visit is
 // flag.Visit: it sees only the flags actually set.
 func validateFlags(f cliFlags, visit func(func(*flag.Flag))) error {
-	if _, ok := experiments.Find(f.exp); !ok && f.exp != "all" {
+	set := map[string]bool{}
+	var first string // the first set flag, in lexical order, that needs -exp
+	visit(func(fl *flag.Flag) {
+		set[fl.Name] = true
+		if first == "" && fl.Name != "list" && fl.Name != "exp" {
+			first = fl.Name
+		}
+	})
+	d, found := experiments.Find(f.exp)
+	switch {
+	case f.exp == "" && first != "":
+		return fmt.Errorf("-%s needs -exp <id> or -exp all", first)
+	case f.exp != "" && f.exp != "all" && !found:
 		return fmt.Errorf("%w %q", errUnknownExperiment, f.exp)
 	}
 	if err := validateExplicitZero(visit); err != nil {
@@ -232,6 +262,7 @@ func validateFlags(f cliFlags, visit func(func(*flag.Flag))) error {
 	}{
 		{"window", f.window}, {"workers", f.workers}, {"qcap", f.qcap},
 		{"parallel", f.parallel}, {"burst", f.burst}, {"pipecap", f.pipeCap},
+		{"deadline", f.deadline}, {"slo", f.slo}, {"metrics-interval", f.metEvery},
 	} {
 		if n.v < 0 {
 			return fmt.Errorf("-%s must be non-negative, got %d", n.name, n.v)
@@ -239,96 +270,96 @@ func validateFlags(f cliFlags, visit func(func(*flag.Flag))) error {
 	}
 	_, scaleErr := experiments.ParseScale(f.scale)
 	_, arrivalsErr := serve.ParseArrivals(f.arrivals, 1)
-	for _, err := range []error{
-		scaleErr,
-		arrivalsErr,
-		validateServingFlags(f.exp, f.arrivals, f.qcap),
-		experiments.ValidatePipePlans(f.plans),
-		validatePipelineFlags(f.exp, f.plans, f.burst, f.pipeCap),
-		validateObsFlags(f.exp, f.tracePath, f.metPath, f.metEvery),
-		validateProfFlags(f.exp, f.profPath, f.flamePath),
-		validateFaultFlags(f.exp, f.faults, f.slo, f.deadline),
-	} {
+	for _, err := range []error{scaleErr, arrivalsErr, experiments.ValidatePipePlans(f.plans)} {
 		if err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// writeTrace exports the accumulated event trace as Chrome trace-event JSON
-// (Perfetto-loadable) and reports what was written on stderr, keeping stdout
-// clean for -json pipelines.
-func writeTrace(path string, tr *obs.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing trace %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	events := 0
-	for _, c := range tr.Cores() {
-		events += c.Len()
-	}
-	fmt.Fprintf(os.Stderr, "trace: wrote %s (%d core(s), %d event(s))\n", path, len(tr.Cores()), events)
-	return nil
-}
-
-// writeMetrics exports the sampled gauge time series as JSON Lines.
-func writeMetrics(path string, m *obs.Metrics) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteJSONL(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing metrics %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	samples := 0
-	for _, c := range m.Cores() {
-		samples += c.Samples()
-	}
-	fmt.Fprintf(os.Stderr, "metrics: wrote %s (%d core(s), %d sample(s))\n", path, len(m.Cores()), samples)
-	return nil
-}
-
-// writeProfiles exports the accumulated cycle attribution: a gzipped pprof
-// proto (-profile) and/or folded flamegraph stacks (-flame), reporting what
-// was written on stderr so stdout stays clean for -json pipelines.
-func writeProfiles(profPath, flamePath string, pr *prof.Profile) error {
-	write := func(path, kind string, export func(f *os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
+	if f.faults != "" {
+		if _, err := fault.ParseSpec(f.faults); err != nil {
+			return fmt.Errorf("-faults: %v", err)
 		}
-		if err := export(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s %s: %w", kind, path, err)
+	}
+	if set["metrics-interval"] && !set["metrics"] {
+		return fmt.Errorf("-metrics-interval requires -metrics (there is no series to sample into)")
+	}
+
+	// Out-of-scope flags: report every offender of the first failing kind
+	// together, e.g. "-arrivals/-qcap".
+	var bad []string
+	var badUse experiments.Uses
+	verb := ""
+	for _, s := range flagScopes {
+		if !set[s.flag] {
+			continue
 		}
-		if err := f.Close(); err != nil {
-			return err
+		if f.exp == "all" {
+			if !s.withAll {
+				bad = append(bad, "-"+s.flag)
+			}
+			continue
 		}
-		fmt.Fprintf(os.Stderr, "%s: wrote %s (%d core(s), %d attributed cycle(s))\n",
-			kind, path, len(pr.Cores()), pr.TotalCycles())
+		if d.Uses&s.use != 0 || (badUse != 0 && s.use != badUse) {
+			continue
+		}
+		badUse, verb = s.use, s.verb
+		bad = append(bad, "-"+s.flag)
+	}
+	switch {
+	case len(bad) == 0:
 		return nil
+	case f.exp == "all":
+		return fmt.Errorf("%s needs a single experiment, not -exp all (each file holds one experiment's designated cell)", strings.Join(bad, "/"))
+	default:
+		return fmt.Errorf("%s only %s the %v experiments (%s), not %q; drop the flag or pick one of those",
+			strings.Join(bad, "/"), verb, badUse, strings.Join(experiments.Using(badUse), ", "), f.exp)
 	}
-	if profPath != "" {
-		if err := write(profPath, "profile", func(f *os.File) error { return pr.WritePprof(f) }); err != nil {
+}
+
+// writeExports writes every export the run's sinks collected and reports
+// each on stderr, keeping stdout clean for -json pipelines.
+func writeExports(f cliFlags, s obs.Sinks) error {
+	profiled := func() string {
+		return fmt.Sprintf("%d core(s), %d attributed cycle(s)", len(s.Profile.Cores()), s.Profile.TotalCycles())
+	}
+	exports := []struct {
+		path, kind string
+		write      func(io.Writer) error
+		summary    func() string
+	}{
+		{f.tracePath, "trace", s.Trace.WriteChrome, func() string {
+			events := 0
+			for _, c := range s.Trace.Cores() {
+				events += c.Len()
+			}
+			return fmt.Sprintf("%d core(s), %d event(s)", len(s.Trace.Cores()), events)
+		}},
+		{f.metPath, "metrics", s.Metrics.WriteJSONL, func() string {
+			samples := 0
+			for _, c := range s.Metrics.Cores() {
+				samples += c.Samples()
+			}
+			return fmt.Sprintf("%d core(s), %d sample(s)", len(s.Metrics.Cores()), samples)
+		}},
+		{f.profPath, "profile", s.Profile.WritePprof, profiled},
+		{f.flamePath, "flame", s.Profile.WriteFolded, profiled},
+	}
+	for _, e := range exports {
+		if e.path == "" {
+			continue
+		}
+		out, err := os.Create(e.path)
+		if err != nil {
 			return err
 		}
-	}
-	if flamePath != "" {
-		if err := write(flamePath, "flame", func(f *os.File) error { return pr.WriteFolded(f) }); err != nil {
+		if err := e.write(out); err != nil {
+			out.Close()
+			return fmt.Errorf("writing %s %s: %w", e.kind, e.path, err)
+		}
+		if err := out.Close(); err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "%s: wrote %s (%s)\n", e.kind, e.path, e.summary())
 	}
 	return nil
 }
@@ -355,195 +386,6 @@ func validateExplicitZero(visit func(func(*flag.Flag))) error {
 		return fmt.Errorf("-%s 0 is meaningless (zero selects the default; drop the flag instead)", bad)
 	}
 	return nil
-}
-
-// servingExperiments are the experiment ids whose runs consume the serving
-// flags: -arrivals selects their traffic shape and -qcap their queue bound.
-// Every other experiment ignores both.
-var servingExperiments = map[string]bool{
-	"serveN": true,
-	"adaptN": true,
-	"faultN": true,
-}
-
-// validateServingFlags rejects -arrivals/-qcap combinations that would
-// silently no-op: the flags only affect the serving experiments, so asking
-// for them alongside a non-serving experiment is a mistake, not a preference.
-func validateServingFlags(exp, arrivals string, qcap int) error {
-	if arrivals == "" && qcap == 0 {
-		return nil
-	}
-	set := "-arrivals"
-	if arrivals == "" {
-		set = "-qcap"
-	} else if qcap != 0 {
-		set = "-arrivals/-qcap"
-	}
-	if exp == "all" || servingExperiments[exp] {
-		return nil
-	}
-	return fmt.Errorf("%s only affects the serving experiments (serveN, adaptN, faultN), not %q; drop the flag or pick a serving experiment", set, exp)
-}
-
-// pipelineExperiments are the experiment ids whose runs consume the pipeline
-// flags: -plans filters their plan set, -burst and -pipecap override the pump
-// geometry. Every other experiment ignores all three.
-var pipelineExperiments = map[string]bool{
-	"pipeN": true,
-}
-
-// validatePipelineFlags rejects -plans/-burst/-pipecap combinations that
-// would silently no-op, mirroring validateServingFlags: the flags only affect
-// the pipeline experiments, so asking for them alongside anything else is a
-// mistake, not a preference.
-func validatePipelineFlags(exp, plans string, burst, pipeCap int) error {
-	if plans == "" && burst == 0 && pipeCap == 0 {
-		return nil
-	}
-	var set []string
-	if plans != "" {
-		set = append(set, "-plans")
-	}
-	if burst != 0 {
-		set = append(set, "-burst")
-	}
-	if pipeCap != 0 {
-		set = append(set, "-pipecap")
-	}
-	s := strings.Join(set, "/")
-	if exp == "all" || pipelineExperiments[exp] {
-		return nil
-	}
-	return fmt.Errorf("%s only affects the pipeline experiment (pipeN), not %q; drop the flag or pick the pipeline experiment", s, exp)
-}
-
-// traceExperiments are the experiment ids with a designated trace cell: the
-// one run per experiment that a non-nil Config.Trace records.
-var traceExperiments = map[string]bool{
-	"serveN": true,
-	"adaptN": true,
-	"pipeN":  true,
-	"obsN":   true,
-	"faultN": true,
-}
-
-// metricsExperiments are the experiment ids whose designated cell samples the
-// gauge time series (the serving experiments and the observability replay;
-// pipeN's batch pipelines have no per-worker gauge set).
-var metricsExperiments = map[string]bool{
-	"serveN": true,
-	"adaptN": true,
-	"obsN":   true,
-	"faultN": true,
-}
-
-// validateObsFlags rejects -trace/-metrics/-metrics-interval combinations
-// that would silently produce an empty or meaningless export, mirroring the
-// serving and pipeline flag guards: the sinks record one experiment's
-// designated cell, so they need exactly one experiment that has one, and an
-// interval is meaningless without a metrics file to sample into.
-func validateObsFlags(exp, trace, metrics string, interval int) error {
-	if interval < 0 {
-		return fmt.Errorf("-metrics-interval must be non-negative, got %d", interval)
-	}
-	if interval > 0 && metrics == "" {
-		return fmt.Errorf("-metrics-interval requires -metrics (there is no series to sample into)")
-	}
-	if trace == "" && metrics == "" {
-		return nil
-	}
-	var set []string
-	if trace != "" {
-		set = append(set, "-trace")
-	}
-	if metrics != "" {
-		set = append(set, "-metrics")
-	}
-	s := strings.Join(set, "/")
-	if exp == "all" {
-		return fmt.Errorf("%s needs a single experiment, not -exp all (each file holds one experiment's designated cell)", s)
-	}
-	if trace != "" && !traceExperiments[exp] {
-		return fmt.Errorf("-trace only records the serving, pipeline and observability experiments (serveN, adaptN, pipeN, obsN, faultN), not %q", exp)
-	}
-	if metrics != "" && !metricsExperiments[exp] {
-		return fmt.Errorf("-metrics only samples the serving and observability experiments (serveN, adaptN, obsN, faultN), not %q", exp)
-	}
-	return nil
-}
-
-// profExperiments are the experiment ids with a designated profile cell: the
-// one run per experiment that a non-nil Config.Profile attributes.
-var profExperiments = map[string]bool{
-	"profN":  true,
-	"serveN": true,
-}
-
-// validateProfFlags rejects -profile/-flame combinations that would silently
-// produce an empty export, mirroring validateObsFlags: the profiler records
-// one experiment's designated cell, so it needs exactly one experiment that
-// has one.
-func validateProfFlags(exp, profPath, flamePath string) error {
-	if profPath == "" && flamePath == "" {
-		return nil
-	}
-	var set []string
-	if profPath != "" {
-		set = append(set, "-profile")
-	}
-	if flamePath != "" {
-		set = append(set, "-flame")
-	}
-	s := strings.Join(set, "/")
-	if exp == "all" {
-		return fmt.Errorf("%s needs a single experiment, not -exp all (each file holds one experiment's designated cell)", s)
-	}
-	if !profExperiments[exp] {
-		return fmt.Errorf("%s only records the profiling experiments (profN, serveN), not %q", s, exp)
-	}
-	return nil
-}
-
-// faultExperiments are the experiment ids whose runs consume the fault
-// flags: -faults scripts their chaos schedule, -deadline and -slo override
-// the derived cycle budgets. Every other experiment ignores all three.
-var faultExperiments = map[string]bool{
-	"faultN": true,
-}
-
-// validateFaultFlags rejects -faults/-deadline/-slo combinations that would
-// silently no-op, mirroring the other flag guards, and parses the -faults
-// spec up front so a malformed schedule fails before any workload is built.
-func validateFaultFlags(exp, faults string, slo, deadline int) error {
-	if deadline < 0 {
-		return fmt.Errorf("-deadline must be non-negative, got %d", deadline)
-	}
-	if slo < 0 {
-		return fmt.Errorf("-slo must be non-negative, got %d", slo)
-	}
-	if faults != "" {
-		if _, err := fault.ParseSpec(faults); err != nil {
-			return fmt.Errorf("-faults: %v", err)
-		}
-	}
-	if faults == "" && slo == 0 && deadline == 0 {
-		return nil
-	}
-	var set []string
-	if faults != "" {
-		set = append(set, "-faults")
-	}
-	if deadline != 0 {
-		set = append(set, "-deadline")
-	}
-	if slo != 0 {
-		set = append(set, "-slo")
-	}
-	s := strings.Join(set, "/")
-	if exp == "all" || faultExperiments[exp] {
-		return nil
-	}
-	return fmt.Errorf("%s only affects the fault experiment (faultN), not %q; drop the flag or pick the fault experiment", s, exp)
 }
 
 // listExperiments prints every registered experiment id and title.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -15,30 +16,31 @@ import (
 	"amac/internal/obs"
 )
 
-// TestValidateServingFlags: -arrivals/-qcap must be rejected whenever they
-// would silently no-op — any non-serving experiment — and accepted for the
-// serving experiments and -exp all.
-func TestValidateServingFlags(t *testing.T) {
-	cases := []struct {
-		name     string
-		exp      string
-		arrivals string
-		qcap     int
-		wantErr  string // substring; empty means valid
-	}{
-		{name: "no serving flags", exp: "fig6"},
-		{name: "serveN with arrivals", exp: "serveN", arrivals: "bursty"},
-		{name: "serveN with qcap", exp: "serveN", qcap: 64},
-		{name: "adaptN with both", exp: "adaptN", arrivals: "poisson", qcap: 32},
-		{name: "all includes serving", exp: "all", arrivals: "deterministic"},
-		{name: "fig6 with arrivals", exp: "fig6", arrivals: "bursty", wantErr: "-arrivals only affects"},
-		{name: "fig5b with qcap", exp: "fig5b", qcap: 8, wantErr: "-qcap only affects"},
-		{name: "table3 with both", exp: "table3", arrivals: "poisson", qcap: 4, wantErr: "-arrivals/-qcap only affects"},
-		{name: "scaleN with qcap", exp: "scaleN", qcap: 16, wantErr: "only affects the serving experiments"},
+// validateArgs parses a command line the way main does and validates it.
+func validateArgs(args ...string) error {
+	var f cliFlags
+	fs := flag.NewFlagSet("amacbench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	defineFlags(fs, &f)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	return validateFlags(f, fs.Visit)
+}
+
+// validateCase is one command line and the validator's verdict on it.
+type validateCase struct {
+	name    string
+	args    []string
+	wantErr string // substring; empty means valid
+}
+
+// checkValidate runs each case's command line through validateFlags.
+func checkValidate(t *testing.T, cases []validateCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateServingFlags(tc.exp, tc.arrivals, tc.qcap)
+			err := validateArgs(tc.args...)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -55,191 +57,133 @@ func TestValidateServingFlags(t *testing.T) {
 	}
 }
 
-// TestServingExperimentsRegistered: the validator's notion of which
-// experiments consume the serving flags must match the registry, so a
-// future serving experiment cannot silently fall out of the allowlist.
-func TestServingExperimentsRegistered(t *testing.T) {
-	for id := range servingExperiments {
-		if err := validateServingFlags(id, "bursty", 8); err != nil {
-			t.Fatalf("serving experiment %q rejected: %v", id, err)
+// checkScope runs args against every registered experiment: the validator
+// must accept them exactly when the experiment's Uses declares use, and a
+// rejection must name every experiment that does.
+func checkScope(t *testing.T, use experiments.Uses, args ...string) {
+	t.Helper()
+	users := strings.Join(experiments.Using(use), ", ")
+	if users == "" {
+		t.Fatalf("no registered experiment declares %v", use)
+	}
+	for _, d := range experiments.Registry() {
+		err := validateArgs(append([]string{"-exp", d.ID}, args...)...)
+		switch {
+		case d.Uses&use != 0 && err != nil:
+			t.Errorf("%s declares %v but %v is rejected: %v", d.ID, use, args, err)
+		case d.Uses&use == 0 && err == nil:
+			t.Errorf("%s does not declare %v but %v is accepted", d.ID, use, args)
+		case err != nil && !strings.Contains(err.Error(), "("+users+")"):
+			t.Errorf("%s: error %q does not list %s", d.ID, err, users)
 		}
 	}
+}
+
+// TestValidateServingFlags: -arrivals/-qcap must be rejected whenever they
+// would silently no-op — any experiment that does not declare UsesServing —
+// and accepted for the serving experiments and -exp all.
+func TestValidateServingFlags(t *testing.T) {
+	checkValidate(t, []validateCase{
+		{"no serving flags", []string{"-exp", "fig6"}, ""},
+		{"serveN with arrivals", []string{"-exp", "serveN", "-arrivals", "bursty"}, ""},
+		{"serveN with qcap", []string{"-exp", "serveN", "-qcap", "64"}, ""},
+		{"adaptN with both", []string{"-exp", "adaptN", "-arrivals", "poisson", "-qcap", "32"}, ""},
+		{"pipeN with both", []string{"-exp", "pipeN", "-arrivals", "bursty", "-qcap", "16"}, ""},
+		{"all includes serving", []string{"-exp", "all", "-arrivals", "deterministic"}, ""},
+		{"fig6 with arrivals", []string{"-exp", "fig6", "-arrivals", "bursty"}, "-arrivals only affects"},
+		{"fig5b with qcap", []string{"-exp", "fig5b", "-qcap", "8"}, "-qcap only affects"},
+		{"table3 with both", []string{"-exp", "table3", "-arrivals", "poisson", "-qcap", "4"}, "-arrivals/-qcap only affects"},
+		{"scaleN with qcap", []string{"-exp", "scaleN", "-qcap", "16"}, "only affects the serving experiments"},
+	})
+}
+
+// TestServingExperimentsRegistered: the serving flags reach exactly the
+// experiments whose Uses declares UsesServing.
+func TestServingExperimentsRegistered(t *testing.T) {
+	checkScope(t, experiments.UsesServing, "-arrivals", "bursty", "-qcap", "8")
 }
 
 // TestValidatePipelineFlags: -plans/-burst/-pipecap must be rejected whenever
 // they would silently no-op — any non-pipeline experiment — and accepted for
 // the pipeline experiment and -exp all.
 func TestValidatePipelineFlags(t *testing.T) {
-	cases := []struct {
-		name    string
-		exp     string
-		plans   string
-		burst   int
-		pipeCap int
-		wantErr string // substring; empty means valid
-	}{
-		{name: "no pipeline flags", exp: "fig6"},
-		{name: "pipeN with plans", exp: "pipeN", plans: "mixed"},
-		{name: "pipeN with burst", exp: "pipeN", burst: 32},
-		{name: "pipeN with pipecap", exp: "pipeN", pipeCap: 64},
-		{name: "pipeN with all three", exp: "pipeN", plans: "bst,chain", burst: 16, pipeCap: 32},
-		{name: "all includes pipeline", exp: "all", burst: 16},
-		{name: "fig6 with plans", exp: "fig6", plans: "mixed", wantErr: "-plans only affects"},
-		{name: "fig5b with burst", exp: "fig5b", burst: 8, wantErr: "-burst only affects"},
-		{name: "serveN with pipecap", exp: "serveN", pipeCap: 8, wantErr: "-pipecap only affects"},
-		{name: "table3 with plans and burst", exp: "table3", plans: "agg", burst: 8, wantErr: "-plans/-burst only affects"},
-		{name: "scaleN with all three", exp: "scaleN", plans: "bst", burst: 4, pipeCap: 8, wantErr: "-plans/-burst/-pipecap only affects"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validatePipelineFlags(tc.exp, tc.plans, tc.burst, tc.pipeCap)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
+	checkValidate(t, []validateCase{
+		{"no pipeline flags", []string{"-exp", "fig6"}, ""},
+		{"pipeN with plans", []string{"-exp", "pipeN", "-plans", "mixed"}, ""},
+		{"pipeN with burst", []string{"-exp", "pipeN", "-burst", "32"}, ""},
+		{"pipeN with pipecap", []string{"-exp", "pipeN", "-pipecap", "64"}, ""},
+		{"pipeN with all three", []string{"-exp", "pipeN", "-plans", "bst,chain", "-burst", "16", "-pipecap", "32"}, ""},
+		{"all includes pipeline", []string{"-exp", "all", "-burst", "16"}, ""},
+		{"fig6 with plans", []string{"-exp", "fig6", "-plans", "mixed"}, "-plans only affects"},
+		{"fig5b with burst", []string{"-exp", "fig5b", "-burst", "8"}, "-burst only affects"},
+		{"serveN with pipecap", []string{"-exp", "serveN", "-pipecap", "8"}, "-pipecap only affects"},
+		{"table3 with plans and burst", []string{"-exp", "table3", "-plans", "agg", "-burst", "8"}, "-plans/-burst only affects"},
+		{"scaleN with all three", []string{"-exp", "scaleN", "-plans", "bst", "-burst", "4", "-pipecap", "8"}, "-plans/-burst/-pipecap only affects"},
+	})
 }
 
-// TestPipelineExperimentsRegistered mirrors the serving allowlist check for
-// the pipeline flags.
+// TestPipelineExperimentsRegistered: the pipeline flags reach exactly the
+// experiments whose Uses declares UsesPipeline.
 func TestPipelineExperimentsRegistered(t *testing.T) {
-	for id := range pipelineExperiments {
-		if err := validatePipelineFlags(id, "mixed", 8, 16); err != nil {
-			t.Fatalf("pipeline experiment %q rejected: %v", id, err)
-		}
-	}
+	checkScope(t, experiments.UsesPipeline, "-plans", "mixed", "-burst", "8", "-pipecap", "16")
 }
 
 // TestValidateObsFlags: -trace/-metrics/-metrics-interval must be rejected
 // whenever they would silently produce an empty or meaningless export — an
-// experiment without a designated cell, -exp all, or an interval with no
-// metrics file — and accepted for the allowlisted experiments.
+// experiment that does not declare the sink, -exp all, or an interval with
+// no metrics file — and accepted for the experiments that declare it.
 func TestValidateObsFlags(t *testing.T) {
-	cases := []struct {
-		name     string
-		exp      string
-		trace    string
-		metrics  string
-		interval int
-		wantErr  string // substring; empty means valid
-	}{
-		{name: "no obs flags", exp: "fig6"},
-		{name: "serveN with trace", exp: "serveN", trace: "t.json"},
-		{name: "adaptN with trace and metrics", exp: "adaptN", trace: "t.json", metrics: "m.jsonl"},
-		{name: "pipeN with trace", exp: "pipeN", trace: "t.json"},
-		{name: "obsN with everything", exp: "obsN", trace: "t.json", metrics: "m.jsonl", interval: 2048},
-		{name: "obsN metrics only", exp: "obsN", metrics: "m.jsonl"},
-		{name: "negative interval", exp: "obsN", metrics: "m.jsonl", interval: -1, wantErr: "must be non-negative"},
-		{name: "interval without metrics", exp: "obsN", trace: "t.json", interval: 2048, wantErr: "-metrics-interval requires -metrics"},
-		{name: "trace with fig6", exp: "fig6", trace: "t.json", wantErr: "-trace only records"},
-		{name: "metrics with fig5b", exp: "fig5b", metrics: "m.jsonl", wantErr: "-metrics only samples"},
-		{name: "metrics with pipeN", exp: "pipeN", metrics: "m.jsonl", wantErr: "-metrics only samples"},
-		{name: "trace with exp all", exp: "all", trace: "t.json", wantErr: "not -exp all"},
-		{name: "metrics with exp all", exp: "all", metrics: "m.jsonl", wantErr: "not -exp all"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateObsFlags(tc.exp, tc.trace, tc.metrics, tc.interval)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
+	checkValidate(t, []validateCase{
+		{"no obs flags", []string{"-exp", "fig6"}, ""},
+		{"serveN with trace", []string{"-exp", "serveN", "-trace", "t.json"}, ""},
+		{"adaptN with trace and metrics", []string{"-exp", "adaptN", "-trace", "t.json", "-metrics", "m.jsonl"}, ""},
+		{"pipeN with trace", []string{"-exp", "pipeN", "-trace", "t.json"}, ""},
+		{"obsN with everything", []string{"-exp", "obsN", "-trace", "t.json", "-metrics", "m.jsonl", "-metrics-interval", "2048"}, ""},
+		{"obsN metrics only", []string{"-exp", "obsN", "-metrics", "m.jsonl"}, ""},
+		{"negative interval", []string{"-exp", "obsN", "-metrics", "m.jsonl", "-metrics-interval", "-1"}, "must be non-negative"},
+		{"interval without metrics", []string{"-exp", "obsN", "-trace", "t.json", "-metrics-interval", "2048"}, "-metrics-interval requires -metrics"},
+		{"trace with fig6", []string{"-exp", "fig6", "-trace", "t.json"}, "-trace only records"},
+		{"metrics with fig5b", []string{"-exp", "fig5b", "-metrics", "m.jsonl"}, "-metrics only samples"},
+		// pipeN's designated core gets the shared gauges from obs.Sinks.Attach.
+		{"metrics with pipeN", []string{"-exp", "pipeN", "-metrics", "m.jsonl"}, ""},
+		{"metrics with profN", []string{"-exp", "profN", "-metrics", "m.jsonl"}, "-metrics only samples"},
+		{"trace with exp all", []string{"-exp", "all", "-trace", "t.json"}, "not -exp all"},
+		{"metrics with exp all", []string{"-exp", "all", "-metrics", "m.jsonl"}, "not -exp all"},
+	})
 }
 
-// TestObsExperimentsRegistered: every experiment in the trace and metrics
-// allowlists must exist in the registry and be accepted by the validator, so
-// a renamed experiment cannot leave a dangling allowlist entry.
+// TestObsExperimentsRegistered: -trace and -metrics each reach exactly the
+// experiments whose Uses declares that sink.
 func TestObsExperimentsRegistered(t *testing.T) {
-	for id := range traceExperiments {
-		if _, ok := experiments.Find(id); !ok {
-			t.Fatalf("trace allowlist entry %q is not a registered experiment", id)
-		}
-		if err := validateObsFlags(id, "t.json", "", 0); err != nil {
-			t.Fatalf("trace experiment %q rejected: %v", id, err)
-		}
-	}
-	for id := range metricsExperiments {
-		if _, ok := experiments.Find(id); !ok {
-			t.Fatalf("metrics allowlist entry %q is not a registered experiment", id)
-		}
-		if err := validateObsFlags(id, "", "m.jsonl", 0); err != nil {
-			t.Fatalf("metrics experiment %q rejected: %v", id, err)
-		}
-	}
+	checkScope(t, experiments.UsesTrace, "-trace", "t.json")
+	checkScope(t, experiments.UsesMetrics, "-metrics", "m.jsonl")
 }
 
 // TestValidateProfFlags: -profile/-flame must be rejected whenever they
-// would silently produce an empty export — an experiment without a
-// designated profile cell or -exp all — and accepted for the allowlisted
-// experiments.
+// would silently produce an empty export — an experiment that does not
+// declare UsesProfile, or -exp all — and accepted for the experiments that
+// declare it.
 func TestValidateProfFlags(t *testing.T) {
-	cases := []struct {
-		name    string
-		exp     string
-		prof    string
-		flame   string
-		wantErr string // substring; empty means valid
-	}{
-		{name: "no prof flags", exp: "fig6"},
-		{name: "profN with profile", exp: "profN", prof: "p.pb.gz"},
-		{name: "profN with flame", exp: "profN", flame: "f.txt"},
-		{name: "profN with both", exp: "profN", prof: "p.pb.gz", flame: "f.txt"},
-		{name: "serveN with flame", exp: "serveN", flame: "f.txt"},
-		{name: "profile with fig6", exp: "fig6", prof: "p.pb.gz", wantErr: "-profile only records"},
-		{name: "flame with obsN", exp: "obsN", flame: "f.txt", wantErr: "-flame only records"},
-		{name: "both with adaptN", exp: "adaptN", prof: "p.pb.gz", flame: "f.txt", wantErr: "-profile/-flame only records"},
-		{name: "profile with exp all", exp: "all", prof: "p.pb.gz", wantErr: "not -exp all"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateProfFlags(tc.exp, tc.prof, tc.flame)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
+	checkValidate(t, []validateCase{
+		{"no prof flags", []string{"-exp", "fig6"}, ""},
+		{"profN with profile", []string{"-exp", "profN", "-profile", "p.pb.gz"}, ""},
+		{"profN with flame", []string{"-exp", "profN", "-flame", "f.txt"}, ""},
+		{"profN with both", []string{"-exp", "profN", "-profile", "p.pb.gz", "-flame", "f.txt"}, ""},
+		{"serveN with flame", []string{"-exp", "serveN", "-flame", "f.txt"}, ""},
+		{"profile with fig6", []string{"-exp", "fig6", "-profile", "p.pb.gz"}, "-profile only records"},
+		// obsN and adaptN profile their designated cells through obs.Sinks.Attach.
+		{"flame with obsN", []string{"-exp", "obsN", "-flame", "f.txt"}, ""},
+		{"flame with fig5b", []string{"-exp", "fig5b", "-flame", "f.txt"}, "-flame only records"},
+		{"both with adaptN", []string{"-exp", "adaptN", "-profile", "p.pb.gz", "-flame", "f.txt"}, ""},
+		{"both with table3", []string{"-exp", "table3", "-profile", "p.pb.gz", "-flame", "f.txt"}, "-profile/-flame only records"},
+		{"profile with exp all", []string{"-exp", "all", "-profile", "p.pb.gz"}, "not -exp all"},
+	})
 }
 
-// TestProfExperimentsRegistered mirrors the obs allowlist check for the
-// profiling flags: every allowlisted id must exist in the registry and be
-// accepted by the validator.
+// TestProfExperimentsRegistered: -profile/-flame reach exactly the
+// experiments whose Uses declares UsesProfile.
 func TestProfExperimentsRegistered(t *testing.T) {
-	for id := range profExperiments {
-		if _, ok := experiments.Find(id); !ok {
-			t.Fatalf("profile allowlist entry %q is not a registered experiment", id)
-		}
-		if err := validateProfFlags(id, "p.pb.gz", "f.txt"); err != nil {
-			t.Fatalf("profiled experiment %q rejected: %v", id, err)
-		}
-	}
+	checkScope(t, experiments.UsesProfile, "-profile", "p.pb.gz", "-flame", "f.txt")
 }
 
 // TestValidateExplicitZero: knobs whose zero value means "use the default"
@@ -300,61 +244,29 @@ func TestValidateExplicitZero(t *testing.T) {
 // schedule or negative budget; and accepted for the fault experiment and
 // -exp all.
 func TestValidateFaultFlags(t *testing.T) {
-	cases := []struct {
-		name     string
-		exp      string
-		faults   string
-		slo      int
-		deadline int
-		wantErr  string // substring; empty means valid
-	}{
-		{name: "no fault flags", exp: "fig6"},
-		{name: "faultN plain", exp: "faultN"},
-		{name: "faultN with scripted schedule", exp: "faultN", faults: "slow:0@20000+40000x4,crash:1@90000+30000"},
-		{name: "faultN with random schedule", exp: "faultN", faults: "rand:7:3"},
-		{name: "faultN with deadline", exp: "faultN", deadline: 6000},
-		{name: "faultN with slo", exp: "faultN", slo: 8000},
-		{name: "all includes fault", exp: "all", faults: "freeze:0@1000+2000"},
-		{name: "malformed schedule", exp: "faultN", faults: "slow:0@bogus", wantErr: "-faults"},
-		{name: "slow without factor", exp: "faultN", faults: "slow:0@1000+2000", wantErr: "-faults"},
-		{name: "negative deadline", exp: "faultN", deadline: -1, wantErr: "-deadline must be non-negative"},
-		{name: "negative slo", exp: "faultN", slo: -5, wantErr: "-slo must be non-negative"},
-		{name: "fig6 with faults", exp: "fig6", faults: "rand:1", wantErr: "-faults only affects"},
-		{name: "serveN with deadline", exp: "serveN", deadline: 4000, wantErr: "-deadline only affects"},
-		{name: "serveN with slo", exp: "serveN", slo: 4000, wantErr: "-slo only affects"},
-		{name: "table3 with all three", exp: "table3", faults: "rand:1", slo: 2, deadline: 3, wantErr: "-faults/-deadline/-slo only affects"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateFaultFlags(tc.exp, tc.faults, tc.slo, tc.deadline)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
+	checkValidate(t, []validateCase{
+		{"no fault flags", []string{"-exp", "fig6"}, ""},
+		{"faultN plain", []string{"-exp", "faultN"}, ""},
+		{"faultN with scripted schedule", []string{"-exp", "faultN", "-faults", "slow:0@20000+40000x4,crash:1@90000+30000"}, ""},
+		{"faultN with random schedule", []string{"-exp", "faultN", "-faults", "rand:7:3"}, ""},
+		{"faultN with deadline", []string{"-exp", "faultN", "-deadline", "6000"}, ""},
+		{"faultN with slo", []string{"-exp", "faultN", "-slo", "8000"}, ""},
+		{"all includes fault", []string{"-exp", "all", "-faults", "freeze:0@1000+2000"}, ""},
+		{"malformed schedule", []string{"-exp", "faultN", "-faults", "slow:0@bogus"}, "-faults"},
+		{"slow without factor", []string{"-exp", "faultN", "-faults", "slow:0@1000+2000"}, "-faults"},
+		{"negative deadline", []string{"-exp", "faultN", "-deadline", "-1"}, "-deadline must be non-negative"},
+		{"negative slo", []string{"-exp", "faultN", "-slo", "-5"}, "-slo must be non-negative"},
+		{"fig6 with faults", []string{"-exp", "fig6", "-faults", "rand:1"}, "-faults only affects"},
+		{"serveN with deadline", []string{"-exp", "serveN", "-deadline", "4000"}, "-deadline only affects"},
+		{"serveN with slo", []string{"-exp", "serveN", "-slo", "4000"}, "-slo only affects"},
+		{"table3 with all three", []string{"-exp", "table3", "-faults", "rand:1", "-slo", "2", "-deadline", "3"}, "-faults/-deadline/-slo only affects"},
+	})
 }
 
-// TestFaultExperimentsRegistered mirrors the serving allowlist check for the
-// fault flags: every allowlisted id must exist in the registry and be
-// accepted by the validator.
+// TestFaultExperimentsRegistered: the fault flags reach exactly the
+// experiments whose Uses declares UsesFaults.
 func TestFaultExperimentsRegistered(t *testing.T) {
-	for id := range faultExperiments {
-		if _, ok := experiments.Find(id); !ok {
-			t.Fatalf("fault allowlist entry %q is not a registered experiment", id)
-		}
-		if err := validateFaultFlags(id, "rand:3", 100, 100); err != nil {
-			t.Fatalf("fault experiment %q rejected: %v", id, err)
-		}
-	}
+	checkScope(t, experiments.UsesFaults, "-faults", "rand:3", "-slo", "100", "-deadline", "100")
 }
 
 // TestTraceJSONRoundTrip runs the observability replay with a trace attached
@@ -364,7 +276,7 @@ func TestFaultExperimentsRegistered(t *testing.T) {
 // balanced (never more ends than begins).
 func TestTraceJSONRoundTrip(t *testing.T) {
 	tr := obs.NewTrace(0)
-	if _, err := experiments.Run("obsN", experiments.Config{Scale: experiments.Tiny, Trace: tr}); err != nil {
+	if _, err := experiments.Run("obsN", experiments.Config{Scale: experiments.Tiny, Sinks: obs.Sinks{Trace: tr}}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -546,11 +458,14 @@ func TestInvalidFlagMatrix(t *testing.T) {
 		{"faults outside faultN", []string{"-exp", "serveN", "-faults", "rand:1"}, "-faults only affects"},
 		{"trace outside its experiments", []string{"-exp", "fig6", "-trace", "t.json"}, "-trace only records"},
 		{"trace with exp all", []string{"-exp", "all", "-trace", "t.json"}, "not -exp all"},
-		{"metrics outside its experiments", []string{"-exp", "pipeN", "-metrics", "m.jsonl"}, "-metrics only samples"},
+		{"metrics outside its experiments", []string{"-exp", "profN", "-metrics", "m.jsonl"}, "-metrics only samples"},
 		{"metrics interval without metrics", []string{"-exp", "obsN", "-metrics-interval", "2048"}, "-metrics-interval requires -metrics"},
 		{"profile outside its experiments", []string{"-exp", "fig6", "-profile", "p.pb.gz"}, "-profile only records"},
 		{"flame with exp all", []string{"-exp", "all", "-flame", "f.txt"}, "not -exp all"},
 		{"cpuprofile with a bad flag", []string{"-exp", "fig6", "-window", "-1", "-cpuprofile", "cpu.prof"}, "-window must be non-negative"},
+		{"negative window without exp", []string{"-window", "-1"}, "-window needs -exp"},
+		{"trace without exp", []string{"-trace", "t.json"}, "-trace needs -exp"},
+		{"list with a bad flag", []string{"-list", "-window", "-1"}, "-window needs -exp"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -578,6 +493,17 @@ func TestRemovedBenchFlags(t *testing.T) {
 		code, stderr, _ := runAmacbench(t, args...)
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
 			t.Fatalf("%v: exit code %d, stderr:\n%s", args, code, stderr)
+		}
+	}
+}
+
+// TestListing: bare amacbench and amacbench -list print the experiment
+// listing and exit 0.
+func TestListing(t *testing.T) {
+	for _, args := range [][]string{nil, {"-list"}} {
+		code, stderr, files := runAmacbench(t, args...)
+		if code != 0 || stderr != "" || len(files) != 0 {
+			t.Fatalf("%v: exit code %d, files %v, stderr:\n%s", args, code, files, stderr)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 	"testing"
 
 	"amac"
-	"amac/internal/profile"
+	"amac/internal/table"
 )
 
 const expGoldenPath = "testdata/exp_tiny.json"
@@ -38,7 +38,7 @@ func experimentOutput(t *testing.T) []byte {
 		if err != nil {
 			t.Fatalf("%s: %v", d.ID, err)
 		}
-		if err := profile.WriteJSONRows(&buf, d.ID, tables); err != nil {
+		if err := table.WriteJSONRows(&buf, d.ID, tables); err != nil {
 			t.Fatalf("%s: %v", d.ID, err)
 		}
 	}

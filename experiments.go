@@ -2,7 +2,7 @@ package amac
 
 import (
 	"amac/internal/experiments"
-	"amac/internal/profile"
+	"amac/internal/table"
 )
 
 // Experiment identifies one reproducible artifact of the paper's evaluation
@@ -24,7 +24,7 @@ const (
 )
 
 // ResultTable is a named grid of measurements mirroring one paper artifact.
-type ResultTable = profile.Table
+type ResultTable = table.Table
 
 // Experiments returns every registered experiment, sorted by id.
 func Experiments() []Experiment { return experiments.Registry() }

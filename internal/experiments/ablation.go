@@ -6,8 +6,8 @@ import (
 	"amac/internal/core"
 	"amac/internal/memsim"
 	"amac/internal/ops"
-	"amac/internal/profile"
 	"amac/internal/relation"
+	"amac/internal/table"
 )
 
 func init() {
@@ -19,14 +19,14 @@ func init() {
 // ablInflight sweeps the AMAC circular-buffer width well past the hardware
 // MLP limit, quantifying the Section 6 observation that very large in-flight
 // counts stop helping once the MSHRs are saturated.
-func ablInflight(cfg Config) []*profile.Table {
+func ablInflight(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	widths := []int{1, 2, 4, 8, 10, 16, 32, 64}
 	rows := make([]string, len(widths))
 	for i, w := range widths {
 		rows[i] = fmt.Sprintf("%d", w)
 	}
-	t := profile.New("abl-inflight", "AMAC probe cost versus circular-buffer width (Xeon, large uniform join)", "cycles/probe tuple", rows, []string{"AMAC"})
+	t := table.New("abl-inflight", "AMAC probe cost versus circular-buffer width (Xeon, large uniform join)", "cycles/probe tuple", rows, []string{"AMAC"})
 	t.AddNote("the Xeon core supports 10 outstanding L1-D misses; widths beyond it cannot add MLP")
 	var tasks []func(*sweepEnv) joinResult
 	for _, w := range widths {
@@ -42,16 +42,16 @@ func ablInflight(cfg Config) []*profile.Table {
 	for i, res := range runSweep(cfg, tasks) {
 		t.Set(fmt.Sprintf("%d", widths[i]), "AMAC", res.probe.cyclesPerTuple())
 	}
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }
 
 // ablRefill compares AMAC with and without the merged terminal/initial stage
 // optimisation (Section 3.1, optimisation 1) on a skewed probe, where early
 // exits are frequent and unfilled slots would otherwise waste MLP.
-func ablRefill(cfg Config) []*profile.Table {
+func ablRefill(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	rows := []string{"Immediate refill (paper)", "Deferred refill"}
-	t := profile.New("abl-refill", "AMAC slot refill policy (Xeon, skewed probe [1, 0])", "cycles/probe tuple", rows, []string{"AMAC"})
+	t := table.New("abl-refill", "AMAC slot refill policy (Xeon, skewed probe [1, 0])", "cycles/probe tuple", rows, []string{"AMAC"})
 
 	for i, disable := range []bool{false, true} {
 		j, out := cachedProbeJoin(relation.JoinSpec{
@@ -63,19 +63,19 @@ func ablRefill(cfg Config) []*profile.Table {
 		core.Run(c, m, core.Options{Width: cfg.window(), DisableImmediateRefill: disable})
 		t.Set(rows[i], "AMAC", float64(c.Cycle())/float64(m.NumLookups()))
 	}
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }
 
 // ablMSHR sweeps the number of per-core L1-D MSHRs, the hardware resource
 // the paper identifies as the single-thread MLP ceiling.
-func ablMSHR(cfg Config) []*profile.Table {
+func ablMSHR(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	mshrs := []int{2, 4, 8, 10, 16, 32}
 	rows := make([]string, len(mshrs))
 	for i, m := range mshrs {
 		rows[i] = fmt.Sprintf("%d", m)
 	}
-	t := profile.New("abl-mshr", "Probe cost versus L1-D MSHR count (Xeon-like core, large uniform join)", "cycles/probe tuple", rows, techColumns)
+	t := table.New("abl-mshr", "Probe cost versus L1-D MSHR count (Xeon-like core, large uniform join)", "cycles/probe tuple", rows, techColumns)
 	t.AddNote("window fixed at 16 in-flight lookups so the MSHR file is the binding limit")
 	type cell struct {
 		row  string
@@ -101,5 +101,5 @@ func ablMSHR(cfg Config) []*profile.Table {
 	for i, res := range runSweep(cfg, tasks) {
 		t.Set(cells[i].row, cells[i].tech.String(), res.probe.cyclesPerTuple())
 	}
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }

@@ -7,9 +7,9 @@ import (
 	"amac/internal/memsim"
 	"amac/internal/obs"
 	"amac/internal/ops"
-	"amac/internal/profile"
 	"amac/internal/relation"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 func init() {
@@ -17,6 +17,7 @@ func init() {
 		ID:    "adaptN",
 		Title: "Adaptive execution: online technique selection and dynamic AMAC width versus every static configuration",
 		Run:   adaptN,
+		Uses:  UsesServing | UsesSinks,
 	})
 }
 
@@ -115,7 +116,7 @@ func cachedHotColdProbes(domain, hot, cold int, theta float64, seed uint64) *rel
 // configuration is right for both halves, and the adaptive controller —
 // which re-probes when its per-segment cost drifts out of the calibrated
 // band — beats every one of them.
-func adaptN(cfg Config) []*profile.Table {
+func adaptN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	machine := memsim.XeonX5670()
 	seed := cfg.seed()
@@ -165,12 +166,12 @@ func adaptN(cfg Config) []*profile.Table {
 	}
 	cols = append(cols, adaptiveCol)
 
-	main := profile.New("adaptN", "Adaptive execution versus static configurations (Xeon)", "cycles/lookup", rows, cols)
+	main := table.New("adaptN", "Adaptive execution versus static configurations (Xeon)", "cycles/lookup", rows, cols)
 	main.AddNote("steady rows: adaptive must be within 5%% of the best static column; shift rows: no static config is right for both phases and adaptive beats every one")
 	main.AddNote("|S| = 2^%d probes per join row, dim table %d keys (L2-resident), scale %q, seed %d, segments %d/%d lookups",
 		log2(n), sz.adaptDim, cfg.scale(), seed, sz.adaptSegment, sz.adaptProbe)
 	diagCols := []string{"probe epochs", "switches", "AMAC share %", "min width", "max width", "resizes"}
-	diag := profile.New("adaptN-ctl", "Adaptive controller diagnostics per workload", "", rows, diagCols)
+	diag := table.New("adaptN-ctl", "Adaptive controller diagnostics per workload", "", rows, diagCols)
 	diag.AddNote("AMAC share is the fraction of lookups the controller served with AMAC; widths are the slot-window extremes its AIMD policy visited")
 
 	type cell struct {
@@ -223,7 +224,7 @@ func adaptN(cfg Config) []*profile.Table {
 		}
 	}
 
-	return []*profile.Table{main, diag, adaptServeTable(cfg, machine)}
+	return []*table.Table{main, diag, adaptServeTable(cfg, machine)}
 }
 
 // adaptCore builds a fresh measured core for one cell: private socket,
@@ -384,7 +385,7 @@ func adaptMixExec(bstSize, slSize int, seed uint64) adaptExec {
 // batch-boundary static and above a clairvoyant static AMAC. That
 // exploration tax is the honest price of not knowing the winner in
 // advance (an SLO-aware probe policy is a ROADMAP item).
-func adaptServeTable(cfg Config, machine memsim.Config) *profile.Table {
+func adaptServeTable(cfg Config, machine memsim.Config) *table.Table {
 	sz := cfg.sizes()
 	n := sz.joinLarge
 	workers := 1
@@ -412,7 +413,7 @@ func adaptServeTable(cfg Config, machine memsim.Config) *profile.Table {
 		rows[i] = loadLabel(l)
 	}
 	cols := append(append([]string(nil), techColumns...), adaptiveCol)
-	t := profile.New("adaptN-serve", "Adaptive serving: p99 latency per engine (Xeon)", "kcycles", rows, cols)
+	t := table.New("adaptN-serve", "Adaptive serving: p99 latency per engine (Xeon)", "kcycles", rows, cols)
 	t.AddNote("per-shard adaptive controllers retune on cost drift and queue-depth jumps; %s arrivals, %s queue; offered load is a fraction of AMAC's batch capacity (%.3f req/cycle)",
 		arrivalsName(serveCfg), policyLabel(policy, cfg.QueueCap), capacity)
 	t.AddNote("adaptive settles on AMAC but pays an exploration tax in the tail: probe leases serve requests with the slower candidates under live load, so its p99 sits well below every batch-boundary static and above a clairvoyant static AMAC")
@@ -429,22 +430,21 @@ func adaptServeTable(cfg Config, machine memsim.Config) *profile.Table {
 			cells = append(cells, cell{load, tech.String()})
 			tasks = append(tasks, func(e *sweepEnv) serve.Result {
 				sj := e.wl.servingJoin(spec, workers, runs)
-				return runServe(serveCfg, sj, runIdx, machine, workers, tech, load, capacity, policy, nil, nil, nil, nil)
+				return runServe(serveCfg, sj, runIdx, machine, workers, tech, load, capacity, policy, nil, obs.Sinks{})
 			})
 		}
 		load, runIdx := load, 1+len(cells)
 		cells = append(cells, cell{load, adaptiveCol})
 		tasks = append(tasks, func(e *sweepEnv) serve.Result {
 			sj := e.wl.servingJoin(spec, workers, runs)
-			// The adaptive cell at 90% load is adaptN's designated trace
-			// cell: probe epochs, technique switches and width moves all
-			// land on one deterministic export.
-			var tr *obs.Trace
-			var met *obs.Metrics
+			// The adaptive cell at 90% load is adaptN's designated cell:
+			// probe epochs, technique switches and width moves all land on
+			// one deterministic export.
+			var sinks obs.Sinks
 			if load == 0.9 {
-				tr, met = cfg.Trace, cfg.Metrics
+				sinks = cfg.Sinks
 			}
-			return runServe(serveCfg, sj, runIdx, machine, workers, ops.AMAC, load, capacity, policy, &acfg, tr, met, nil)
+			return runServe(serveCfg, sj, runIdx, machine, workers, ops.AMAC, load, capacity, policy, &acfg, sinks)
 		})
 	}
 	for i, res := range runSweep(cfg, tasks) {

@@ -2,7 +2,7 @@
 // paper's evaluation (plus the motivation experiments of Section 2 and a set
 // of ablations suggested by Section 6) on top of the simulated memory
 // hierarchy. Each experiment is registered under the identifier used in
-// DESIGN.md and EXPERIMENTS.md and returns one or more profile.Tables whose
+// DESIGN.md and EXPERIMENTS.md and returns one or more table.Tables whose
 // rows and columns mirror the paper's artifact.
 package experiments
 
@@ -10,10 +10,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 
 	"amac/internal/obs"
-	"amac/internal/prof"
-	"amac/internal/profile"
+	"amac/internal/table"
 )
 
 // Scale selects the dataset sizes. The paper uses 2^27-tuple relations
@@ -92,23 +92,14 @@ type Config struct {
 	// SLOBudget sets the fault experiment's p99 SLO budget in cycles and
 	// enables its brownout row; zero omits the row.
 	SLOBudget int
-	// Trace, if non-nil, records a simulated-time event trace of exactly one
-	// designated cell per experiment — serveN's AMAC cell at 90% load,
-	// adaptN's adaptive serving cell at 90% load, pipeN's planner-assigned
-	// mixed plan, obsN's replay — so the exported trace is deterministic
-	// regardless of -parallel. Purely observational: every table is
-	// byte-identical with or without it.
-	Trace *obs.Trace
-	// Metrics, if non-nil, samples gauge time series from the same
-	// designated cell (obsN and the serving experiments). Purely
-	// observational, like Trace.
-	Metrics *obs.Metrics
-	// Profile, if non-nil, collects an exact cycle-attribution profile from
-	// one designated cell per experiment — profN's batch and serving phases,
-	// serveN's AMAC cell at 90% load — for flamegraph/pprof export. Purely
-	// observational, like Trace: every table is byte-identical with or
-	// without it.
-	Profile *prof.Profile
+	// Sinks, if any is set, records the one designated cell of each
+	// experiment whose Descriptor.Uses declares that sink: serveN's AMAC
+	// cell at 90% load, adaptN's adaptive serving cell at 90% load, faultN's
+	// breaker row, pipeN's planner-assigned mixed plan, obsN's replay and
+	// profN's batch and serving phases. One cell keeps every export
+	// deterministic regardless of -parallel. Purely observational: every
+	// table is byte-identical with or without sinks.
+	Sinks obs.Sinks
 }
 
 func (c Config) scale() Scale {
@@ -239,7 +230,60 @@ type Descriptor struct {
 	// Title summarises what the paper artifact shows.
 	Title string
 	// Run regenerates the artifact.
-	Run func(Config) []*profile.Table
+	Run func(Config) []*table.Table
+	// Uses declares the Config knobs and sinks the experiment reads. It is
+	// the one record of which command-line flags apply to which
+	// experiment.
+	Uses Uses
+}
+
+// Uses is a set of the experiment-specific Config knobs and sinks an
+// experiment reads. The common knobs (scale, seed, window, workers,
+// parallel) have no bit.
+type Uses uint8
+
+const (
+	// UsesServing: Arrivals and QueueCap shape the experiment's traffic.
+	UsesServing Uses = 1 << iota
+	// UsesPipeline: Plans, Burst and PipeCap shape its pipelines.
+	UsesPipeline
+	// UsesFaults: Faults, Deadline and SLOBudget shape its chaos runs.
+	UsesFaults
+	// UsesTrace: its designated cell records into Sinks.Trace.
+	UsesTrace
+	// UsesMetrics: its designated cell samples into Sinks.Metrics.
+	UsesMetrics
+	// UsesProfile: its designated cell attributes into Sinks.Profile.
+	UsesProfile
+)
+
+// UsesSinks is every sink bit.
+const UsesSinks = UsesTrace | UsesMetrics | UsesProfile
+
+// usesNames names the Uses bits in bit order.
+var usesNames = [...]string{"serving", "pipeline", "fault", "trace", "metrics", "profile"}
+
+// String names the set's bits joined by "+", e.g. "trace+metrics".
+func (u Uses) String() string {
+	var names []string
+	for i, n := range usesNames {
+		if u&(1<<i) != 0 {
+			names = append(names, n)
+		}
+	}
+	return strings.Join(names, "+")
+}
+
+// Using returns the ids of the registered experiments whose Uses has any bit
+// of u, sorted.
+func Using(u Uses) []string {
+	var ids []string
+	for _, d := range Registry() {
+		if d.Uses&u != 0 {
+			ids = append(ids, d.ID)
+		}
+	}
+	return ids
 }
 
 // registry is populated by the experiment files' init order via Register.
@@ -265,7 +309,7 @@ func Find(id string) (Descriptor, bool) {
 }
 
 // Run executes the experiment with the given ID.
-func Run(id string, cfg Config) ([]*profile.Table, error) {
+func Run(id string, cfg Config) ([]*table.Table, error) {
 	d, ok := Find(id)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q", id)

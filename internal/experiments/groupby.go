@@ -3,8 +3,8 @@ package experiments
 import (
 	"amac/internal/memsim"
 	"amac/internal/ops"
-	"amac/internal/profile"
 	"amac/internal/relation"
+	"amac/internal/table"
 )
 
 func init() {
@@ -24,14 +24,14 @@ var groupBySkews = []struct {
 
 // runGroupByFigure measures cycles per input tuple for every technique and
 // skew at the given input sizes.
-func runGroupByFigure(cfg Config, id, title string, machine memsim.Config, inputSizes map[string]int) []*profile.Table {
-	var out []*profile.Table
+func runGroupByFigure(cfg Config, id, title string, machine memsim.Config, inputSizes map[string]int) []*table.Table {
+	var out []*table.Table
 	for sizeLabel, size := range inputSizes {
 		rows := make([]string, len(groupBySkews))
 		for i, s := range groupBySkews {
 			rows[i] = s.label
 		}
-		t := profile.New(id+"-"+sizeLabel, title+", input 2^"+itoa(log2(size))+" tuples", "cycles/input tuple", rows, techColumns)
+		t := table.New(id+"-"+sizeLabel, title+", input 2^"+itoa(log2(size))+" tuples", "cycles/input tuple", rows, techColumns)
 		t.AddNote("each distinct key appears %d times when uniform; six aggregate functions per match; scale %q", cfg.sizes().gbRepeats, cfg.scale())
 		type cell struct {
 			row  string
@@ -59,14 +59,14 @@ func runGroupByFigure(cfg Config, id, title string, machine memsim.Config, input
 	return out
 }
 
-func fig9(cfg Config) []*profile.Table {
+func fig9(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	small := runGroupByFigure(cfg, "fig9", "Group-by on Xeon x5670", memsim.XeonX5670(), map[string]int{"small": sz.gbSmall})
 	large := runGroupByFigure(cfg, "fig9", "Group-by on Xeon x5670", memsim.XeonX5670(), map[string]int{"large": sz.gbLarge})
 	return append(small, large...)
 }
 
-func fig12b(cfg Config) []*profile.Table {
+func fig12b(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	return runGroupByFigure(cfg, "fig12b", "Group-by on SPARC T4", memsim.SPARCT4(), map[string]int{"large": sz.gbLarge})
 }

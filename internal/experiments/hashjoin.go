@@ -5,8 +5,8 @@ import (
 
 	"amac/internal/memsim"
 	"amac/internal/ops"
-	"amac/internal/profile"
 	"amac/internal/relation"
+	"amac/internal/table"
 )
 
 func init() {
@@ -29,11 +29,11 @@ const fig3SkewFactor = 0.75
 // fig3 reproduces Figure 3: hash probes over a table provisioned with four
 // nodes per bucket, under three traversal regimes, normalized to the
 // baseline's uniform-traversal cost.
-func fig3(cfg Config) []*profile.Table {
+func fig3(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	n := sz.joinLarge
 	rows := []string{"Uniform traversals", "Non-uniform traversals", "Skewed traversals"}
-	t := profile.New("fig3", "Normalized cycles per lookup tuple (baseline uniform = 1)", "x", rows, techColumns)
+	t := table.New("fig3", "Normalized cycles per lookup tuple (baseline uniform = 1)", "x", rows, techColumns)
 	t.AddNote("|R| = |S| = 2^%d tuples, 4 nodes per bucket, scale %q", log2(n), cfg.scale())
 
 	type variant struct {
@@ -85,14 +85,14 @@ func fig3(cfg Config) []*profile.Table {
 			}
 		}
 	}
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }
 
 // table3 reproduces Table 3: instructions per tuple and cycles per tuple for
 // the uniform join with unequal table sizes (the LLC-resident build table).
-func table3(cfg Config) []*profile.Table {
+func table3(cfg Config) []*table.Table {
 	sz := cfg.sizes()
-	t := profile.New("table3", "Uniform join with unequal table sizes (2MB-class build)", "per probe tuple",
+	t := table.New("table3", "Uniform join with unequal table sizes (2MB-class build)", "per probe tuple",
 		[]string{"Instructions per Tuple", "Cycles per Tuple"}, techColumns)
 	t.AddNote("|R| = 2^%d, |S| = 2^%d, scale %q", log2(sz.joinSmall), log2(sz.joinLarge), cfg.scale())
 	var tasks []func(*sweepEnv) joinResult
@@ -111,7 +111,7 @@ func table3(cfg Config) []*profile.Table {
 		t.Set("Instructions per Tuple", tech.String(), res.probe.instrPerTuple())
 		t.Set("Cycles per Tuple", tech.String(), res.probe.cyclesPerTuple())
 	}
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }
 
 // joinSkews are the [Z_R, Z_S] configurations of Figure 5 and Figure 12a.
@@ -119,14 +119,14 @@ var joinSkews = [][2]float64{{0, 0}, {0.5, 0}, {1, 0}, {0.5, 0.5}, {1, 1}}
 
 // runFig5 measures build and probe cycles per output tuple for every skew
 // configuration and technique on one machine.
-func runFig5(cfg Config, id, title string, machine memsim.Config, buildSize, probeSize int) []*profile.Table {
+func runFig5(cfg Config, id, title string, machine memsim.Config, buildSize, probeSize int) []*table.Table {
 	rows := make([]string, len(joinSkews))
 	for i, s := range joinSkews {
 		rows[i] = skewLabel(s[0], s[1])
 	}
-	total := profile.New(id, title+" (build + probe)", "cycles/output tuple", rows, techColumns)
-	buildT := profile.New(id+"-build", title+" (build phase only)", "cycles/output tuple", rows, techColumns)
-	probeT := profile.New(id+"-probe", title+" (probe phase only)", "cycles/output tuple", rows, techColumns)
+	total := table.New(id, title+" (build + probe)", "cycles/output tuple", rows, techColumns)
+	buildT := table.New(id+"-build", title+" (build phase only)", "cycles/output tuple", rows, techColumns)
+	probeT := table.New(id+"-probe", title+" (probe phase only)", "cycles/output tuple", rows, techColumns)
 	total.AddNote("|R| = 2^%d, |S| = 2^%d, scale %q; output tuples = probe tuples", log2(buildSize), log2(probeSize), cfg.scale())
 
 	type cell struct {
@@ -161,15 +161,15 @@ func runFig5(cfg Config, id, title string, machine memsim.Config, buildSize, pro
 		probeT.Set(c.row, c.tech.String(), probePerOut)
 		total.Set(c.row, c.tech.String(), buildPerOut+probePerOut)
 	}
-	return []*profile.Table{total, buildT, probeT}
+	return []*table.Table{total, buildT, probeT}
 }
 
-func fig5a(cfg Config) []*profile.Table {
+func fig5a(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	return runFig5(cfg, "fig5a", "Small build relation join", memsim.XeonX5670(), sz.joinSmall, sz.joinLarge)
 }
 
-func fig5b(cfg Config) []*profile.Table {
+func fig5b(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	return runFig5(cfg, "fig5b", "Equally sized relations join", memsim.XeonX5670(), sz.joinLarge, sz.joinLarge)
 }
@@ -177,7 +177,7 @@ func fig5b(cfg Config) []*profile.Table {
 // fig6 reproduces Figure 6: probe cycles per tuple as a function of the
 // number of in-flight lookups, for GP, SPP and AMAC, under the five skew
 // configurations. One table per technique (6a, 6b, 6c).
-func fig6(cfg Config) []*profile.Table {
+func fig6(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	cols := make([]string, len(joinSkews))
 	for i, s := range joinSkews {
@@ -193,12 +193,12 @@ func fig6(cfg Config) []*profile.Table {
 		row   string
 		col   string
 	}
-	var out []*profile.Table
+	var out []*table.Table
 	var cells []cell
 	var tasks []func(*sweepEnv) joinResult
 	for i, tech := range ops.PrefetchingTechniques {
 		sub := string(rune('a' + i))
-		t := profile.New("fig6"+sub, fmt.Sprintf("Probe sensitivity to in-flight lookups: %s", tech), "cycles/probe tuple", rows, cols)
+		t := table.New("fig6"+sub, fmt.Sprintf("Probe sensitivity to in-flight lookups: %s", tech), "cycles/probe tuple", rows, cols)
 		t.AddNote("rows: number of in-flight lookups; |R| = |S| = 2^%d, scale %q", log2(sz.joinLarge), cfg.scale())
 		out = append(out, t)
 		for _, s := range joinSkews {
@@ -226,14 +226,14 @@ func fig6(cfg Config) []*profile.Table {
 var scalabilitySkews = [][2]float64{{0, 0}, {0.5, 0.5}, {1, 1}}
 
 // runScalability measures probe throughput versus thread count.
-func runScalability(cfg Config, id, title string, machine memsim.Config, threads []int, joinSize int) []*profile.Table {
+func runScalability(cfg Config, id, title string, machine memsim.Config, threads []int, joinSize int) []*table.Table {
 	type cell struct {
 		table   int
 		row     string
 		tech    ops.Technique
 		threads int
 	}
-	var out []*profile.Table
+	var out []*table.Table
 	var cells []cell
 	var tasks []func(*sweepEnv) joinResult
 	for i, s := range scalabilitySkews {
@@ -242,7 +242,7 @@ func runScalability(cfg Config, id, title string, machine memsim.Config, threads
 		for k, th := range threads {
 			rows[k] = fmt.Sprintf("%d", th)
 		}
-		t := profile.New(id+sub, fmt.Sprintf("%s, keys %s", title, skewLabel(s[0], s[1])), "M tuples/s", rows, techColumns)
+		t := table.New(id+sub, fmt.Sprintf("%s, keys %s", title, skewLabel(s[0], s[1])), "M tuples/s", rows, techColumns)
 		t.AddNote("rows: hardware threads; |R| = |S| = 2^%d, scale %q", log2(joinSize), cfg.scale())
 		out = append(out, t)
 		for _, th := range threads {
@@ -267,12 +267,12 @@ func runScalability(cfg Config, id, title string, machine memsim.Config, threads
 	return out
 }
 
-func fig7(cfg Config) []*profile.Table {
+func fig7(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	return runScalability(cfg, "fig7", "Hash table probe scalability on Xeon x5670", memsim.XeonX5670(), sz.xeonThreads, sz.joinLarge)
 }
 
-func fig8(cfg Config) []*profile.Table {
+func fig8(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	return runScalability(cfg, "fig8", "Hash table probe scalability on SPARC T4", memsim.SPARCT4(), sz.t4Threads, sz.joinLarge)
 }
@@ -285,7 +285,7 @@ func fig8(cfg Config) []*profile.Table {
 // representative thread — every worker here is simulated in full, so load
 // imbalance across partitions shows up in the merged numbers. Uniform unique
 // build keys keep the first-match output independent of the partition count.
-func scaleN(cfg Config) []*profile.Table {
+func scaleN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	n := sz.joinLarge
 	machine := memsim.XeonX5670()
@@ -294,8 +294,8 @@ func scaleN(cfg Config) []*profile.Table {
 	for i, w := range counts {
 		rows[i] = fmt.Sprintf("%d", w)
 	}
-	tput := profile.New("scaleN", "Partitioned probe: aggregate throughput versus workers (Xeon)", "M tuples/s", rows, techColumns)
-	speed := profile.New("scaleN-speedup", "Partitioned probe: speedup versus one worker (Xeon)", "x", rows, techColumns)
+	tput := table.New("scaleN", "Partitioned probe: aggregate throughput versus workers (Xeon)", "M tuples/s", rows, techColumns)
+	speed := table.New("scaleN-speedup", "Partitioned probe: speedup versus one worker (Xeon)", "x", rows, techColumns)
 	tput.AddNote("rows: workers, each simulated on a private core with an LLC capacity share; |R| = |S| = 2^%d, scale %q", log2(n), cfg.scale())
 	tput.AddNote("throughput = total probe tuples / slowest worker's elapsed time")
 	if counts[len(counts)-1] > machine.HardwareThreads() {
@@ -341,16 +341,16 @@ func scaleN(cfg Config) []*profile.Table {
 			}
 		}
 	}
-	return []*profile.Table{tput, speed}
+	return []*table.Table{tput, speed}
 }
 
 // table4 reproduces Table 4: IPC and MSHR hits per kilo-instruction of the
 // AMAC probe phase while increasing the thread count, including the
 // two-socket "2+2" configuration that relieves the LLC queue contention.
-func table4(cfg Config) []*profile.Table {
+func table4(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	cols := []string{"1", "2", "4", "6", "2+2"}
-	t := profile.New("table4", "Hash join probe scalability profiling on Xeon x5670 (AMAC)", "",
+	t := table.New("table4", "Hash join probe scalability profiling on Xeon x5670 (AMAC)", "",
 		[]string{"IPC", "L1-D MSHR Hits (per k-inst.)", "MSHR hit wait cycles (per k-inst.)"}, cols)
 	t.AddNote("columns: threads; 2+2 = four threads over two sockets; |R| = |S| = 2^%d, scale %q", log2(sz.joinLarge), cfg.scale())
 
@@ -384,13 +384,13 @@ func table4(cfg Config) []*profile.Table {
 	}
 	t.AddNote("the wait-cycles row is the simulator's analogue of rising MSHR-hit counts on real hardware: " +
 		"prefetches that arrive late make demand loads wait on the outstanding miss")
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }
 
 // fig12a reproduces the hash join portion of Figure 12 on the SPARC T4
 // (large relations only; the T4 drops prefetches that hit on chip, so the
 // paper does not evaluate the small join there).
-func fig12a(cfg Config) []*profile.Table {
+func fig12a(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	tables := runFig5(cfg, "fig12a", "Hash join on SPARC T4 (2GB-class relations)", memsim.SPARCT4(), sz.joinLarge, sz.joinLarge)
 	// Figure 12a reports only the [0,0], [.5,.5] and [1,1] configurations.
@@ -404,7 +404,7 @@ func fig12a(cfg Config) []*profile.Table {
 }
 
 // filterRows drops rows whose label is not in keep.
-func filterRows(t *profile.Table, keep map[string]bool) {
+func filterRows(t *table.Table, keep map[string]bool) {
 	var rows []string
 	var vals [][]float64
 	for i, r := range t.RowLabels {

@@ -5,8 +5,7 @@ import (
 
 	"amac/internal/adapt"
 	"amac/internal/memsim"
-	"amac/internal/obs"
-	"amac/internal/profile"
+	"amac/internal/table"
 )
 
 func init() {
@@ -14,6 +13,7 @@ func init() {
 		ID:    "obsN",
 		Title: "Observability replay: the adaptive controller's decision timeline on a phase-shift workload",
 		Run:   obsN,
+		Uses:  UsesSinks,
 	})
 }
 
@@ -30,11 +30,11 @@ const obsTimelineCap = 32
 // subsystem's demonstration experiment: with -trace the same run exports the
 // slot-lifecycle/decision/width tracks to a Perfetto-loadable file, and with
 // -metrics it samples width, MSHR occupancy and stall fraction as a time
-// series — but the timeline table itself comes from the always-on decision
-// log, so the experiment is equally useful untraced (including under
-// -exp all). The replay is a single serial cell; tracing and metrics observe
-// the identical run, so the table is byte-identical with or without them.
-func obsN(cfg Config) []*profile.Table {
+// series, and with -profile/-flame it attributes the replay's cycles — but
+// the timeline table itself comes from the always-on decision log, so the
+// experiment is equally useful untraced (including under -exp all). The replay is a single serial cell; the sinks observe the
+// identical run, so the table is byte-identical with or without them.
+func obsN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	machine := memsim.XeonX5670()
 	seed := cfg.seed()
@@ -47,34 +47,10 @@ func obsN(cfg Config) []*profile.Table {
 	c := adaptCore(machine, ex)
 	ctl := adapt.NewController(adaptConfig(sz))
 
-	// Attach the observability sinks. Metrics without tracing still needs a
-	// CoreTrace as the width-gauge holder; an unregistered discard core serves
-	// (same contract as the serving layer).
-	tr := cfg.Trace.Core("adaptive core")
-	if tr == nil && cfg.Metrics != nil {
-		tr = obs.NewDiscardCore()
-	}
-	ctl.SetTrace(tr)
-	if cfg.Metrics != nil {
-		cm := cfg.Metrics.Core("adaptive core")
-		cm.Gauge("width", func() float64 { return float64(tr.Width()) })
-		cm.Gauge("mshr_outstanding", func() float64 { return float64(c.MSHROutstanding()) })
-		var prev memsim.Stats
-		cm.Gauge("stall_fraction", func() float64 {
-			s := c.Stats()
-			busy := (s.Cycles - prev.Cycles) - (s.IdleCycles - prev.IdleCycles)
-			stall := s.StallCycles - prev.StallCycles
-			prev = s
-			if busy == 0 {
-				return 0
-			}
-			return float64(stall) / float64(busy)
-		})
-		c.SetCycleHook(cfg.Metrics.Interval(), cm.Tick)
-	}
-
+	att := cfg.Sinks.Attach(c, "adaptive core")
+	ctl.SetTrace(att.Trace)
 	ex.adaptive(c, ctl)
-	c.SetCycleHook(0, nil)
+	att.Detach()
 	cycles := c.Cycle()
 
 	decisions := ctl.Decisions()
@@ -87,7 +63,7 @@ func obsN(cfg Config) []*profile.Table {
 		rows[i] = fmt.Sprintf("%02d %s", i+1, obsDecisionLabel(d))
 	}
 	cols := []string{"kcycles", "width", "cpl"}
-	t := profile.New("obsN", "Adaptive controller decision timeline on the shift dim→big join (Xeon)", "", rows, cols)
+	t := table.New("obsN", "Adaptive controller decision timeline on the shift dim→big join (Xeon)", "", rows, cols)
 	for i, d := range shown {
 		t.Set(rows[i], "kcycles", float64(d.Cycle)/1000)
 		t.Set(rows[i], "width", float64(d.Width))
@@ -99,7 +75,7 @@ func obsN(cfg Config) []*profile.Table {
 	if len(decisions) > obsTimelineCap {
 		t.AddNote("timeline truncated: %d of %d decisions shown", obsTimelineCap, len(decisions))
 	}
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }
 
 // obsDecisionLabel renders one decision-log entry as a timeline row label.

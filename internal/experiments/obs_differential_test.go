@@ -2,16 +2,19 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
+	"io"
+	"os"
+	"strings"
 	"testing"
 
 	"amac/internal/obs"
-	"amac/internal/profile"
+	"amac/internal/prof"
+	"amac/internal/table"
 )
 
 // renderRun executes an experiment and renders its tables exactly the way
 // cmd/amacbench does — text via Table.Render and JSON Lines via
-// profile.WriteJSONRows — so byte-comparing the two forms covers both output
+// table.WriteJSONRows — so byte-comparing the two forms covers both output
 // paths of the CLI.
 func renderRun(t *testing.T, id string, cfg Config) (text, jsonl string) {
 	t.Helper()
@@ -20,81 +23,162 @@ func renderRun(t *testing.T, id string, cfg Config) (text, jsonl string) {
 		t.Fatalf("%s: %v", id, err)
 	}
 	var tb, jb bytes.Buffer
-	for _, table := range tables {
-		table.Render(&tb)
+	for _, tab := range tables {
+		tab.Render(&tb)
 	}
-	if err := profile.WriteJSONRows(&jb, id, tables); err != nil {
+	if err := table.WriteJSONRows(&jb, id, tables); err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
 	return tb.String(), jb.String()
 }
 
-// TestObservabilityDifferential is the observability subsystem's central
-// invariant as a test: attaching trace and metrics sinks changes no simulated
-// result byte. Every traceable experiment runs untraced and traced (including
-// traced under parallel sweep fan-out, where only the designated cell
-// records) and both the rendered text tables and the -json rows must be
-// byte-identical. The traced runs must also actually record something —
-// a trivially-empty trace would pass the diff while proving nothing.
-func TestObservabilityDifferential(t *testing.T) {
-	metricsOK := map[string]bool{"serveN": true, "adaptN": true, "obsN": true, "faultN": true}
-
-	baseText := map[string]string{}
-	baseJSON := map[string]string{}
-	baseline := func(id string) (string, string) {
-		if _, ok := baseText[id]; !ok {
-			baseText[id], baseJSON[id] = renderRun(t, id, Config{Scale: Tiny, Parallel: 1})
+// goldenRows splits testdata/exp_tiny.json — what amacbench -exp all -scale
+// tiny -parallel 1 -json prints — into each experiment's -json rows.
+func goldenRows(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/exp_tiny.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if line == "" {
+			continue
 		}
-		return baseText[id], baseJSON[id]
+		var id string
+		if rest, ok := strings.CutPrefix(line, `{"experiment":"`); ok {
+			id, _, _ = strings.Cut(rest, `"`)
+		}
+		rows[id] += line
 	}
+	return rows
+}
 
-	cases := []struct {
-		id       string
-		parallel int
-	}{
-		{"serveN", 1},
-		{"serveN", 4},
-		{"adaptN", 1},
-		{"adaptN", 4},
-		{"pipeN", 1},
-		{"pipeN", 4},
-		{"obsN", 1},
-		{"faultN", 1},
-		{"faultN", 4},
+// sinkRun is one tiny-scale experiment run with sinks attached: its rendered
+// output, every export its sinks can write, and the sinks that recorded
+// anything.
+type sinkRun struct {
+	text, jsonl string
+	exports     map[string]string
+	recorded    Uses
+}
+
+// runWithSinks runs experiment id at tiny scale on parallel sweep workers
+// with the sinks named by attach.
+func runWithSinks(t *testing.T, id string, parallel int, attach Uses) sinkRun {
+	t.Helper()
+	var s obs.Sinks
+	if attach&UsesTrace != 0 {
+		s.Trace = obs.NewTrace(0)
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(fmt.Sprintf("%s/parallel=%d", tc.id, tc.parallel), func(t *testing.T) {
-			wantText, wantJSON := baseline(tc.id)
+	if attach&UsesMetrics != 0 {
+		s.Metrics = obs.NewMetrics(0)
+	}
+	if attach&UsesProfile != 0 {
+		s.Profile = prof.NewProfile()
+	}
+	var r sinkRun
+	r.text, r.jsonl = renderRun(t, id, Config{Scale: Tiny, Parallel: parallel, Sinks: s})
 
-			cfg := Config{Scale: Tiny, Parallel: tc.parallel, Trace: obs.NewTrace(0)}
-			if metricsOK[tc.id] {
-				cfg.Metrics = obs.NewMetrics(0)
+	r.exports = map[string]string{}
+	export := func(name string, write func(io.Writer) error) {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			t.Fatalf("%s export: %v", name, err)
+		}
+		r.exports[name] = b.String()
+	}
+	if s.Trace != nil {
+		export("chrome", s.Trace.WriteChrome)
+		for _, c := range s.Trace.Cores() {
+			if c.Len() > 0 {
+				r.recorded |= UsesTrace
 			}
-			gotText, gotJSON := renderRun(t, tc.id, cfg)
+		}
+	}
+	if s.Metrics != nil {
+		export("jsonl", s.Metrics.WriteJSONL)
+		for _, c := range s.Metrics.Cores() {
+			if c.Samples() > 0 {
+				r.recorded |= UsesMetrics
+			}
+		}
+	}
+	if s.Profile != nil {
+		export("folded", s.Profile.WriteFolded)
+		export("pprof", s.Profile.WritePprof)
+		if s.Profile.TotalCycles() > 0 {
+			r.recorded |= UsesProfile
+		}
+	}
+	return r
+}
 
-			if gotText != wantText {
-				t.Errorf("text tables differ traced vs untraced:\n--- untraced ---\n%s\n--- traced ---\n%s", wantText, gotText)
+// TestObservabilityDifferential holds every registered experiment to its
+// Uses declaration and to the sinks' central invariant: attaching sinks
+// changes no simulated result byte. Each experiment runs serially with all
+// three sinks attached; its -json rows must equal testdata/exp_tiny.json,
+// every sink it declares must record something (a trivially empty export
+// would pass the diff while proving nothing) and every sink it does not
+// declare must record nothing. An experiment that declares sinks then runs
+// on 4 sweep workers, where only its designated cell may record: with all
+// sinks, with none, and with each declared sink alone (which covers paths
+// such as metrics without a trace). Every export must match the serial
+// run's byte for byte, and so must the text tables. Under the race detector
+// only the all-sinks runs of the sink-declaring experiments execute: the
+// others are serial or touch the sinks from one goroutine, so they would add
+// minutes, not concurrency.
+func TestObservabilityDifferential(t *testing.T) {
+	golden := goldenRows(t)
+	for _, d := range Registry() {
+		d := d
+		declared := d.Uses & UsesSinks
+		if declared == 0 && (testing.Short() || raceEnabled) {
+			continue
+		}
+		var serial sinkRun
+		check := func(t *testing.T, r sinkRun, attached Uses) {
+			t.Helper()
+			if r.jsonl != golden[d.ID] {
+				t.Errorf("-json rows differ from testdata/exp_tiny.json with %v attached:\n--- golden ---\n%s\n--- got ---\n%s", attached, golden[d.ID], r.jsonl)
 			}
-			if gotJSON != wantJSON {
-				t.Errorf("JSON rows differ traced vs untraced:\n--- untraced ---\n%s\n--- traced ---\n%s", wantJSON, gotJSON)
+			if r.text != serial.text {
+				t.Errorf("text tables differ from the serial run with every sink attached:\n--- serial ---\n%s\n--- got ---\n%s", serial.text, r.text)
 			}
-
-			events := 0
-			for _, c := range cfg.Trace.Cores() {
-				events += c.Len()
+			if want := attached & declared; r.recorded != want {
+				t.Errorf("with %v attached, %v recorded; Uses declares %v", attached, r.recorded, want)
 			}
-			if events == 0 {
-				t.Error("traced run recorded no events")
-			}
-			if cfg.Metrics != nil {
-				samples := 0
-				for _, c := range cfg.Metrics.Cores() {
-					samples += c.Samples()
+			for name, got := range r.exports {
+				if got != serial.exports[name] {
+					t.Errorf("%s export differs from the serial run with every sink attached", name)
 				}
-				if samples == 0 {
-					t.Error("metered run recorded no samples")
+			}
+		}
+		t.Run(d.ID, func(t *testing.T) {
+			t.Run("parallel=1", func(t *testing.T) {
+				serial = runWithSinks(t, d.ID, 1, UsesSinks)
+				check(t, serial, UsesSinks)
+			})
+			if declared == 0 {
+				return
+			}
+			t.Run("parallel=4", func(t *testing.T) {
+				check(t, runWithSinks(t, d.ID, 4, UsesSinks), UsesSinks)
+			})
+			if raceEnabled {
+				return
+			}
+			t.Run("unobserved", func(t *testing.T) {
+				check(t, runWithSinks(t, d.ID, 4, 0), 0)
+			})
+			for _, u := range []Uses{UsesTrace, UsesMetrics, UsesProfile} {
+				if declared&u == 0 {
+					continue
 				}
+				u := u
+				t.Run("only="+u.String(), func(t *testing.T) {
+					check(t, runWithSinks(t, d.ID, 4, u), u)
+				})
 			}
 		})
 	}

@@ -12,9 +12,9 @@ import (
 	"amac/internal/obs"
 	"amac/internal/ops"
 	"amac/internal/pipeline"
-	"amac/internal/profile"
 	"amac/internal/relation"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 func init() {
@@ -22,6 +22,7 @@ func init() {
 		ID:    "pipeN",
 		Title: "Streaming multi-operator pipelines: cost-seeded mini-planner versus uniform and exhaustive static per-stage assignments",
 		Run:   pipeN,
+		Uses:  UsesPipeline | UsesServing | UsesSinks,
 	})
 }
 
@@ -148,10 +149,10 @@ type pipePlan struct {
 	choice   func(e *sweepEnv) pipeline.PlanChoice
 	run      func(e *sweepEnv, cfgs []pipeline.StageConfig) pipeCell
 	adaptive func(e *sweepEnv) pipeCell
-	// traced re-runs the plan with a trace sink attached (stage slot
-	// lifecycle, pipe depth counters, backpressure instants); nil for plans
-	// whose cells rebuild non-reusable state.
-	traced func(e *sweepEnv, cfgs []pipeline.StageConfig, tr *obs.CoreTrace) pipeCell
+	// observed re-runs the plan with sinks attached to its core (stage slot
+	// lifecycle, pipe depth counters, backpressure instants, gauges, cycle
+	// attribution); nil for plans whose cells rebuild non-reusable state.
+	observed func(e *sweepEnv, cfgs []pipeline.StageConfig, sinks obs.Sinks) pipeCell
 	// serving runs the plan under open-loop arrivals and returns the merged
 	// end-to-end latency recorder (nil for plans without a serving variant).
 	serving func(e *sweepEnv, arrivals []uint64, qcap int, policy serve.Policy, cfgs []pipeline.StageConfig) *serve.Recorder
@@ -309,22 +310,24 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 		return ctls
 	}
 
-	// runCachedTraced runs one measured cell of a read-only cached workload,
-	// with an optional trace sink on the assembled pipeline.
-	runCachedTraced := func(wl func(e *sweepEnv) *pipeWorkload) func(e *sweepEnv, cfgs []pipeline.StageConfig, tr *obs.CoreTrace) pipeCell {
-		return func(e *sweepEnv, cfgs []pipeline.StageConfig, tr *obs.CoreTrace) pipeCell {
+	// runCachedObserved runs one measured cell of a read-only cached
+	// workload, with optional sinks on its core.
+	runCachedObserved := func(wl func(e *sweepEnv) *pipeWorkload) func(e *sweepEnv, cfgs []pipeline.StageConfig, sinks obs.Sinks) pipeCell {
+		return func(e *sweepEnv, cfgs []pipeline.StageConfig, sinks obs.Sinks) pipeCell {
 			w := wl(e)
 			w.out.Reset()
 			c := pipeCore(machine)
+			att := sinks.Attach(c, "pipeline")
 			p := w.b.Build(w.out)
-			p.SetTrace(tr)
+			p.SetTrace(att.Trace)
 			p.Run(c, cfgs)
+			att.Detach()
 			return pipeCell{cycles: c.Cycle(), rows: w.rows}
 		}
 	}
 	runCached := func(wl func(e *sweepEnv) *pipeWorkload) func(e *sweepEnv, cfgs []pipeline.StageConfig) pipeCell {
-		rt := runCachedTraced(wl)
-		return func(e *sweepEnv, cfgs []pipeline.StageConfig) pipeCell { return rt(e, cfgs, nil) }
+		ro := runCachedObserved(wl)
+		return func(e *sweepEnv, cfgs []pipeline.StageConfig) pipeCell { return ro(e, cfgs, obs.Sinks{}) }
 	}
 	adaptCached := func(wl func(e *sweepEnv) *pipeWorkload, stages int) func(e *sweepEnv) pipeCell {
 		return func(e *sweepEnv) pipeCell {
@@ -375,7 +378,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 			run:      runCached(bstWL),
 			adaptive: adaptCached(bstWL, 2),
 			serving:  serveCached(bstWL),
-			traced:   runCachedTraced(bstWL),
+			observed: runCachedObserved(bstWL),
 		},
 		{
 			name:     pipeChainPlan,
@@ -384,7 +387,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 			choice:   func(e *sweepEnv) pipeline.PlanChoice { return chainWL(e).choice },
 			run:      runCached(chainWL),
 			adaptive: adaptCached(chainWL, 3),
-			traced:   runCachedTraced(chainWL),
+			observed: runCachedObserved(chainWL),
 		},
 	}
 }
@@ -456,7 +459,7 @@ var pipeServeLoads = []float64{0.6, 0.9}
 // load sweep and reports end-to-end (arrival→sink) p99 latency per
 // assignment. All cells are independent and fan out over -parallel sweep
 // workers bit-identically.
-func pipeN(cfg Config) []*profile.Table {
+func pipeN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	ps := pipeSizes{rows: sz.pipeRows, build: sz.pipeBuild, dim: sz.pipeDim, bst: sz.pipeBST, groups: sz.pipeGroups, sample: sz.pipeSample,
 		burst: cfg.Burst, pipeCap: cfg.PipeCap}
@@ -480,13 +483,13 @@ func pipeN(cfg Config) []*profile.Table {
 		rows[i] = p.name
 	}
 	cols := append(append([]string(nil), techColumns...), pipeBestCol, pipePlannerCol, adaptiveCol)
-	main := profile.New("pipeN", "Streaming pipelines: per-stage assignment versus plan cost (Xeon)", "cycles/row", rows, cols)
+	main := table.New("pipeN", "Streaming pipelines: per-stage assignment versus plan cost (Xeon)", "cycles/row", rows, cols)
 	main.AddNote("uniform columns assign one technique to every stage; %q is the best of all 4^stages per-stage assignments; the planner's per-stage choice comes from a %d-row cost-seeded sample", pipeBestCol, ps.sample)
 	main.AddNote("|S| = 2^%d root rows, build tables 2^%d, mixed-plan dimension table 2^%d keys (cache-resident), BST 2^%d keys, scale %q, seed %d",
 		log2(ps.rows), log2(ps.build), log2(ps.dim), log2(ps.bst), cfg.scale(), cfg.seed())
 
 	planCols := []string{"stages", "sample rows", "plan Mcycles", "planner ÷ best static", "best uniform ÷ planner"}
-	planTab := profile.New("pipeN-plan", "Mini-planner choice quality and cost per plan", "", rows, planCols)
+	planTab := table.New("pipeN-plan", "Mini-planner choice quality and cost per plan", "", rows, planCols)
 	planTab.AddNote("planner ÷ best static near 1.0 means the sampled choice matches the exhaustive sweep; best uniform ÷ planner above 1.0 means the planner beats every uniform assignment")
 
 	// Enumerate the sweep cells: every static combination, the planner's
@@ -563,28 +566,28 @@ func pipeN(cfg Config) []*profile.Table {
 	if ps.burst > 0 || ps.pipeCap > 0 {
 		main.AddNote("pump geometry overridden: -burst %d, -pipecap %d (zero = pipeline default)", ps.burst, ps.pipeCap)
 	}
-	tables := []*profile.Table{main, planTab}
+	tables := []*table.Table{main, planTab}
 	if st := pipeServeTable(cfg, machine, plans); st != nil {
 		tables = append(tables, st)
 	}
 
-	// The designated trace cell: one extra run of the mixed plan (or the last
-	// traced plan a -plans filter kept) under the planner's assignment, with
-	// the trace sink attached. Re-running after the sweep keeps every table
-	// byte-identical with or without tracing, and running it serially on
-	// defaultEnv keeps the exported trace deterministic under -parallel.
-	if cfg.Trace != nil {
-		var tp *pipePlan
+	// The designated cell: one extra run of the mixed plan (or the last
+	// observable plan a -plans filter kept) under the planner's assignment,
+	// with the sinks attached. Re-running after the sweep keeps every table
+	// byte-identical with or without sinks, and running it serially on
+	// defaultEnv keeps the exports deterministic under -parallel.
+	if cfg.Sinks != (obs.Sinks{}) {
+		var op *pipePlan
 		for i := range plans {
-			if plans[i].traced == nil {
+			if plans[i].observed == nil {
 				continue
 			}
-			if tp == nil || plans[i].mixed {
-				tp = &plans[i]
+			if op == nil || plans[i].mixed {
+				op = &plans[i]
 			}
 		}
-		if tp != nil {
-			tp.traced(defaultEnv, defaultEnv.planChoice(*tp).Configs, cfg.Trace.Core("pipeline"))
+		if op != nil {
+			op.observed(defaultEnv, defaultEnv.planChoice(*op).Configs, cfg.Sinks)
 		}
 	}
 	return tables
@@ -609,7 +612,7 @@ func (e *sweepEnv) planChoiceLabel(p pipePlan) string {
 // uniform-AMAC batch capacity, one run per static uniform assignment plus the
 // planner's, reporting end-to-end (arrival→sink completion) p99 latency. It
 // returns nil when a -plans filter excluded every served plan.
-func pipeServeTable(cfg Config, machine memsim.Config, plans []pipePlan) *profile.Table {
+func pipeServeTable(cfg Config, machine memsim.Config, plans []pipePlan) *table.Table {
 	var served pipePlan
 	for _, p := range plans {
 		if p.serving != nil {
@@ -636,7 +639,7 @@ func pipeServeTable(cfg Config, machine memsim.Config, plans []pipePlan) *profil
 		rows[i] = loadLabel(l)
 	}
 	cols := append(append([]string(nil), techColumns...), pipePlannerCol)
-	t := profile.New("pipeN-serve", "Served pipeline: end-to-end p99 latency per assignment (Xeon)", "kcycles", rows, cols)
+	t := table.New("pipeN-serve", "Served pipeline: end-to-end p99 latency per assignment (Xeon)", "kcycles", rows, cols)
 	t.AddNote("plan %q; rows: offered load as a fraction of uniform AMAC's batch capacity (%.4f req/cycle); %s arrivals, %s queue; latency spans admission through sink completion",
 		served.name, capacity, arrivalsName(cfg), policyLabel(policy, cfg.QueueCap))
 

@@ -7,6 +7,8 @@ package experiments
 // mini-planner exists for.
 
 import (
+	"maps"
+	"strings"
 	"testing"
 
 	"amac/internal/adapt"
@@ -142,4 +144,55 @@ func TestPipeCombos(t *testing.T) {
 	if uniforms != len(ops.Techniques) {
 		t.Fatalf("%d uniform combos, want %d", uniforms, len(ops.Techniques))
 	}
+}
+
+// FuzzValidatePipePlans: the -plans filter parser never panics, accepts a
+// filter exactly when it is empty or every comma-separated token is
+// non-empty after trimming and matches a substring of some plan name
+// case-insensitively, and selects exactly the plans some token matches — at
+// least one for every accepted non-empty filter.
+func FuzzValidatePipePlans(f *testing.F) {
+	for _, seed := range []string{
+		"", "mixed", "BST", "agg, chain", "probe→BST filter (steady)",
+		"mixed,nosuchplan", "mixed,,agg", ",", " , ", "  mixed  ", "→",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, filter string) {
+		sel, err := selectPipePlans(filter)
+		if (err == nil) != (ValidatePipePlans(filter) == nil) {
+			t.Fatalf("%q: selectPipePlans and ValidatePipePlans disagree", filter)
+		}
+		if filter == "" {
+			if err != nil || sel != nil {
+				t.Fatalf("empty filter: selection %v, err %v; want every plan", sel, err)
+			}
+			return
+		}
+		want := map[string]bool{}
+		valid := true
+		for _, tok := range strings.Split(filter, ",") {
+			tok = strings.ToLower(strings.TrimSpace(tok))
+			matched := false
+			for _, name := range PipePlanNames() {
+				if tok != "" && strings.Contains(strings.ToLower(name), tok) {
+					want[name] = true
+					matched = true
+				}
+			}
+			valid = valid && matched
+		}
+		if valid != (err == nil) {
+			t.Fatalf("%q: accepted = %v (err %v), want %v", filter, err == nil, err, valid)
+		}
+		if err != nil {
+			return
+		}
+		if len(sel) == 0 {
+			t.Fatalf("%q: accepted but selects no plan", filter)
+		}
+		if !maps.Equal(sel, want) {
+			t.Fatalf("%q: selects %v, want %v", filter, sel, want)
+		}
+	})
 }

@@ -6,9 +6,9 @@ import (
 	"amac/internal/memsim"
 	"amac/internal/ops"
 	"amac/internal/prof"
-	"amac/internal/profile"
 	"amac/internal/relation"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 func init() {
@@ -16,6 +16,7 @@ func init() {
 		ID:    "profN",
 		Title: "Cycle attribution: where every simulated cycle goes, per technique, batch and serving",
 		Run:   profN,
+		Uses:  UsesProfile,
 	})
 }
 
@@ -32,18 +33,18 @@ func init() {
 // GP;admit while AMAC's residual idle is genuine queue emptiness.
 //
 // The experiment is a single serial cell (like obsN) and always profiles
-// internally — cfg.Profile only adds the export sink — so its tables are
-// byte-identical with or without -profile/-flame, serial or -parallel.
+// internally — cfg.Sinks.Profile only adds the export sink — so its tables
+// are byte-identical with or without -profile/-flame, serial or -parallel.
 // Attribution totals are reconciled against the core's cycle counter per
 // run; a mismatch is an invariant violation and panics.
-func profN(cfg Config) []*profile.Table {
+func profN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	n := sz.joinLarge
 	machine := memsim.XeonX5670()
 	window := cfg.window()
 	seed := cfg.seed()
 
-	pr := cfg.Profile
+	pr := cfg.Sinks.Profile
 	if pr == nil {
 		pr = prof.NewProfile()
 	}
@@ -59,8 +60,8 @@ func profN(cfg Config) []*profile.Table {
 	for i, c := range prof.Cats {
 		catRows[i] = c.String()
 	}
-	cats := profile.New("profN", "Cycle attribution by category, batch skewed-join probe (Xeon, % of core cycles)", "%", catRows, techColumns)
-	stall := profile.New("profN-stall", "DRAM stall accounting and achieved MLP, batch skewed-join probe (Xeon)", "", techColumns,
+	cats := table.New("profN", "Cycle attribution by category, batch skewed-join probe (Xeon, % of core cycles)", "%", catRows, techColumns)
+	stall := table.New("profN-stall", "DRAM stall accounting and achieved MLP, batch skewed-join probe (Xeon)", "", techColumns,
 		[]string{"exposed c/t", "hidden c/t", "hidden frac", "MLP"})
 
 	breakdowns := make(map[ops.Technique]prof.Breakdown, len(ops.Techniques))
@@ -110,7 +111,7 @@ func profN(cfg Config) []*profile.Table {
 	// low enough that GP's idle is admission bubbles, not saturation.
 	serveTechs := []ops.Technique{ops.GP, ops.AMAC}
 	serveCols := []string{"idle %", "admit idle %", "DRAM %"}
-	srv := profile.New("profN-serve", "Serving-phase idle attribution, GP vs AMAC at 60% load (Xeon, 1 worker)", "", techNames(serveTechs), serveCols)
+	srv := table.New("profN-serve", "Serving-phase idle attribution, GP vs AMAC at 60% load (Xeon, 1 worker)", "", techNames(serveTechs), serveCols)
 	tuples := pj.Parts[0].Probe.Len()
 	capacity := float64(tuples) / float64(amacCycles)
 	period := 1 / (0.6 * capacity)
@@ -139,7 +140,7 @@ func profN(cfg Config) []*profile.Table {
 	srv.AddNote("admit idle is idle charged under the engine's admission frame; idle %% == admit idle %% shows a core never idles mid-chain, only while polling an empty queue")
 	srv.AddNote("deterministic arrivals at 60%% of AMAC's batch capacity (%.4f req/cycle): AMAC serves them with idle headroom to spare, while GP — its batch-boundary admission exposing the DRAM column's stall on every request — runs saturated at the same offered load", capacity)
 
-	return []*profile.Table{cats, stall, srv}
+	return []*table.Table{cats, stall, srv}
 }
 
 // mlpRatio is AMAC's achieved MLP over the Baseline's, guarded for the

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -135,59 +134,4 @@ func TestProfConservationPipeline(t *testing.T) {
 		{Tech: ops.GP, Window: 4},
 	})
 	checkConservation(t, "pipeline/agg", cp, c.Stats().Cycles)
-}
-
-// TestProfiledDifferential is the profiler's PR 7 contract as a test:
-// attaching a profile sink changes no simulated result byte. The profiled
-// experiments run unprofiled and profiled (serial and under parallel sweep
-// fan-out, where only the designated cell records) and both the rendered
-// text tables and the -json rows must match exactly. The profiled runs must
-// also actually record cycles — an empty profile would pass the diff while
-// proving nothing.
-func TestProfiledDifferential(t *testing.T) {
-	baseText := map[string]string{}
-	baseJSON := map[string]string{}
-	baseline := func(id string) (string, string) {
-		if _, ok := baseText[id]; !ok {
-			baseText[id], baseJSON[id] = renderRun(t, id, Config{Scale: Tiny, Parallel: 1})
-		}
-		return baseText[id], baseJSON[id]
-	}
-
-	cases := []struct {
-		id       string
-		parallel int
-	}{
-		{"profN", 1},
-		{"profN", 4},
-		{"serveN", 1},
-		{"serveN", 4},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(fmt.Sprintf("%s/parallel=%d", tc.id, tc.parallel), func(t *testing.T) {
-			wantText, wantJSON := baseline(tc.id)
-
-			cfg := Config{Scale: Tiny, Parallel: tc.parallel, Profile: prof.NewProfile()}
-			gotText, gotJSON := renderRun(t, tc.id, cfg)
-
-			if gotText != wantText {
-				t.Errorf("text tables differ profiled vs unprofiled:\n--- unprofiled ---\n%s\n--- profiled ---\n%s", wantText, gotText)
-			}
-			if gotJSON != wantJSON {
-				t.Errorf("JSON rows differ profiled vs unprofiled:\n--- unprofiled ---\n%s\n--- profiled ---\n%s", wantJSON, gotJSON)
-			}
-
-			if cfg.Profile.TotalCycles() == 0 {
-				t.Fatal("profiled run attributed no cycles")
-			}
-			var folded bytes.Buffer
-			if err := cfg.Profile.WriteFolded(&folded); err != nil {
-				t.Fatalf("WriteFolded: %v", err)
-			}
-			if folded.Len() == 0 {
-				t.Error("profiled run exported an empty folded profile")
-			}
-		})
-	}
 }

@@ -7,10 +7,9 @@ import (
 	"amac/internal/memsim"
 	"amac/internal/obs"
 	"amac/internal/ops"
-	"amac/internal/prof"
-	"amac/internal/profile"
 	"amac/internal/relation"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 func init() {
@@ -18,6 +17,7 @@ func init() {
 		ID:    "serveN",
 		Title: "Streaming request service: arrival-rate sweep, throughput and tail latency per technique (Xeon)",
 		Run:   serveN,
+		Uses:  UsesServing | UsesSinks,
 	})
 }
 
@@ -88,7 +88,7 @@ func (ws *workloadSet) servingJoin(spec relation.JoinSpec, workers, runs int) *s
 // switches it to the drop policy, adding a drop-fraction table. The
 // (load, technique) cells are independent runs and fan out over -parallel
 // sweep workers.
-func serveN(cfg Config) []*profile.Table {
+func serveN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	n := sz.joinLarge
 	machine := memsim.XeonX5670()
@@ -107,12 +107,12 @@ func serveN(cfg Config) []*profile.Table {
 	for i, l := range serveLoads {
 		rows[i] = loadLabel(l)
 	}
-	tput := profile.New("serveN", "Streaming service: achieved throughput versus offered load (Xeon)", "M req/s", rows, techColumns)
-	p50 := profile.New("serveN-p50", "Streaming service: median request latency versus offered load (Xeon)", "kcycles", rows, techColumns)
-	p99 := profile.New("serveN-p99", "Streaming service: p99 request latency versus offered load (Xeon)", "kcycles", rows, techColumns)
-	var drops *profile.Table
+	tput := table.New("serveN", "Streaming service: achieved throughput versus offered load (Xeon)", "M req/s", rows, techColumns)
+	p50 := table.New("serveN-p50", "Streaming service: median request latency versus offered load (Xeon)", "kcycles", rows, techColumns)
+	p99 := table.New("serveN-p99", "Streaming service: p99 request latency versus offered load (Xeon)", "kcycles", rows, techColumns)
+	var drops *table.Table
 	if policy == serve.Drop {
-		drops = profile.New("serveN-drops", "Streaming service: dropped request fraction versus offered load (Xeon)", "fraction", rows, techColumns)
+		drops = table.New("serveN-drops", "Streaming service: dropped request fraction versus offered load (Xeon)", "fraction", rows, techColumns)
 	}
 	tput.AddNote("rows: offered load as a fraction of AMAC's batch service capacity (%.3f req/cycle aggregate)", capacity)
 	tput.AddNote("|R| = |S| = 2^%d, Zipf(1.0) build keys, %d worker(s), %s arrivals, %s queue, scale %q",
@@ -133,16 +133,14 @@ func serveN(cfg Config) []*profile.Table {
 			cells = append(cells, cell{load, tech})
 			tasks = append(tasks, func(e *sweepEnv) serve.Result {
 				sj := e.wl.servingJoin(spec, workers, runs)
-				// The AMAC cell at 90% load is serveN's designated trace cell:
-				// the decisive row, traced (and profiled) exactly once so the
-				// export is deterministic under -parallel.
-				var tr *obs.Trace
-				var met *obs.Metrics
-				var pr *prof.Profile
+				// The AMAC cell at 90% load is serveN's designated cell: the
+				// decisive row, recorded exactly once so the exports are
+				// deterministic under -parallel.
+				var sinks obs.Sinks
 				if tech == ops.AMAC && load == 0.9 {
-					tr, met, pr = cfg.Trace, cfg.Metrics, cfg.Profile
+					sinks = cfg.Sinks
 				}
-				return runServe(cfg, sj, runIdx, machine, workers, tech, load, capacity, policy, nil, tr, met, pr)
+				return runServe(cfg, sj, runIdx, machine, workers, tech, load, capacity, policy, nil, sinks)
 			})
 		}
 	}
@@ -157,7 +155,7 @@ func serveN(cfg Config) []*profile.Table {
 		}
 	}
 
-	out := []*profile.Table{tput, p50, p99}
+	out := []*table.Table{tput, p50, p99}
 	if drops != nil {
 		out = append(out, drops)
 	}
@@ -171,11 +169,11 @@ func serveN(cfg Config) []*profile.Table {
 // uses the serving workload's pre-allocated run-indexed collectors and the
 // shared arrival-schedule cache, so repeated cells rebuild nothing. A
 // non-nil adaptive config replaces the fixed technique with per-shard
-// adaptive controllers (the adaptN serving table). tr and met, non-nil only
-// for an experiment's designated trace cell, attach the observability sinks.
+// adaptive controllers (the adaptN serving table). sinks, set only for an
+// experiment's designated cell, records the run.
 func runServe(cfg Config, sj *servingJoin, run int, machine memsim.Config, workers int,
 	tech ops.Technique, load, capacity float64, policy serve.Policy, adaptive *adapt.Config,
-	tr *obs.Trace, met *obs.Metrics, pr *prof.Profile) serve.Result {
+	sinks obs.Sinks) serve.Result {
 	pj := sj.pj
 	totalTuples := pj.ProbeTuples()
 	outs := sj.outs[run]
@@ -203,9 +201,9 @@ func runServe(cfg Config, sj *servingJoin, run int, machine memsim.Config, worke
 		Policy:    policy,
 		Prepare:   func(w int, c *memsim.Core) { warmTable(c, pj.Parts[w]) },
 		Adaptive:  adaptive,
-		Trace:     tr,
-		Metrics:   met,
-		Profile:   pr,
+		Trace:     sinks.Trace,
+		Metrics:   sinks.Metrics,
+		Profile:   sinks.Profile,
 	}, specs)
 }
 

@@ -7,9 +7,9 @@ import (
 	"amac/internal/memsim"
 	"amac/internal/obs"
 	"amac/internal/ops"
-	"amac/internal/profile"
 	"amac/internal/relation"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 func init() {
@@ -17,6 +17,7 @@ func init() {
 		ID:    "faultN",
 		Title: "Fault injection: graceful degradation of the streaming service under shard faults (Xeon, AMAC)",
 		Run:   faultN,
+		Uses:  UsesServing | UsesFaults | UsesSinks,
 	})
 }
 
@@ -111,7 +112,7 @@ type faultMode struct {
 // budgets; -workers sets the replica count (default 4, minimum 2 so every
 // shard has a sibling); -arrivals and -qcap behave as in serveN. Rows are
 // independent runs and fan out over -parallel sweep workers.
-func faultN(cfg Config) []*profile.Table {
+func faultN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	n := sz.joinLarge
 	machine := memsim.XeonX5670()
@@ -158,7 +159,7 @@ func faultN(cfg Config) []*profile.Table {
 	// calibration the recovery knobs derive from (deadline and SLO budget 2x
 	// the clean p99, hedge delay the clean p99 — the tail-at-scale rule).
 	clean := runFaultServe(defaultEnv, cfg, spec, workers, runs, 1, machine, period,
-		nil, modes[0], 0, fault.RetryPolicy{}, fault.HedgePolicy{}, nil, fault.SLO{}, policy, nil, nil)
+		nil, modes[0], 0, fault.RetryPolicy{}, fault.HedgePolicy{}, nil, fault.SLO{}, policy, obs.Sinks{})
 	p99c := clean.Latency.P99()
 	if p99c == 0 {
 		p99c = 1
@@ -183,9 +184,9 @@ func faultN(cfg Config) []*profile.Table {
 	for i, m := range modes {
 		rows[i] = m.name
 	}
-	lat := profile.New("faultN", "Fault injection: surviving-request latency by degradation mode (Xeon, AMAC)", "kcycles", rows, []string{"p50", "p95", "p99"})
-	outs := profile.New("faultN-outcomes", "Fault injection: request outcome fractions by degradation mode", "fraction", rows, []string{"served", "timed-out", "failed", "shed", "dropped"})
-	recov := profile.New("faultN-recovery", "Fault injection: recovery-path activity by degradation mode", "count", rows, []string{"retried", "hedged", "hedge-wins", "rerouted", "breaker-trips"})
+	lat := table.New("faultN", "Fault injection: surviving-request latency by degradation mode (Xeon, AMAC)", "kcycles", rows, []string{"p50", "p95", "p99"})
+	outs := table.New("faultN-outcomes", "Fault injection: request outcome fractions by degradation mode", "fraction", rows, []string{"served", "timed-out", "failed", "shed", "dropped"})
+	recov := table.New("faultN-recovery", "Fault injection: recovery-path activity by degradation mode", "count", rows, []string{"retried", "hedged", "hedge-wins", "rerouted", "breaker-trips"})
 	lat.AddNote("faults: %s (horizon %d cycles)", sched, horizon)
 	lat.AddNote("|R| = |S| = 2^%d, Zipf(1.0) build keys, %d full replicas, %s arrivals, %s queue, %d%% of capacity (%.4f req/cycle/core), scale %q",
 		log2(n), workers, arrivalsName(cfg), policyLabel(policy, cfg.QueueCap), int(faultLoad*100), perCore, cfg.scale())
@@ -200,16 +201,15 @@ func faultN(cfg Config) []*profile.Table {
 			if i == 0 {
 				return clean // already measured during calibration
 			}
-			// The breaker row is faultN's designated trace cell: the full
-			// recovery stack, traced exactly once so the export is
+			// The breaker row is faultN's designated cell: the full
+			// recovery stack, recorded exactly once so the exports are
 			// deterministic under -parallel.
-			var tr *obs.Trace
-			var met *obs.Metrics
+			var sinks obs.Sinks
 			if m.name == "breaker" {
-				tr, met = cfg.Trace, cfg.Metrics
+				sinks = cfg.Sinks
 			}
 			return runFaultServe(e, cfg, spec, workers, runs, 1+i, machine, period,
-				sched, m, deadline, retry, hedge, breaker, slo, policy, tr, met)
+				sched, m, deadline, retry, hedge, breaker, slo, policy, sinks)
 		})
 	}
 	for i, res := range runSweep(cfg, tasks) {
@@ -241,7 +241,7 @@ func faultN(cfg Config) []*profile.Table {
 		}
 		recov.Set(row, "breaker-trips", float64(trips))
 	}
-	return []*profile.Table{lat, outs, recov}
+	return []*table.Table{lat, outs, recov}
 }
 
 // faultSchedule resolves the chaos schedule: the -faults spec when given,
@@ -273,7 +273,7 @@ func runFaultServe(e *sweepEnv, cfg Config, spec relation.JoinSpec, workers, run
 	machine memsim.Config, period float64, sched *fault.Schedule, m faultMode,
 	deadline uint64, retry fault.RetryPolicy, hedge fault.HedgePolicy,
 	breaker *fault.BreakerConfig, slo fault.SLO, policy serve.Policy,
-	tr *obs.Trace, met *obs.Metrics) serve.Result {
+	sinks obs.Sinks) serve.Result {
 	fj := e.wl.faultJoin(spec, workers, runs)
 	specs := make([]serve.Worker[ops.ProbeState], workers)
 	for w := 0; w < workers; w++ {
@@ -291,8 +291,9 @@ func runFaultServe(e *sweepEnv, cfg Config, spec relation.JoinSpec, workers, run
 			QueueCap:  cfg.QueueCap,
 			Policy:    policy,
 			Prepare:   func(w int, c *memsim.Core) { warmTable(c, fj.joins[w]) },
-			Trace:     tr,
-			Metrics:   met,
+			Trace:     sinks.Trace,
+			Metrics:   sinks.Metrics,
+			Profile:   sinks.Profile,
 		},
 		Sched: fj.scheds,
 	}

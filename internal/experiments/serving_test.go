@@ -3,10 +3,10 @@ package experiments
 import (
 	"testing"
 
-	"amac/internal/profile"
+	"amac/internal/table"
 )
 
-func findTable(t *testing.T, tables []*profile.Table, id string) *profile.Table {
+func findTable(t *testing.T, tables []*table.Table, id string) *table.Table {
 	t.Helper()
 	for _, tb := range tables {
 		if tb.ID == id {

@@ -5,9 +5,9 @@ import (
 	"sync"
 	"testing"
 
-	"amac/internal/profile"
 	"amac/internal/relation"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 // TestSharedCachesConcurrentFirstBuild hammers the process-wide immutable
@@ -73,7 +73,7 @@ func TestArrivalScheduleCacheMatchesFreshBuild(t *testing.T) {
 }
 
 // renderAll flattens tables into one comparable string.
-func renderAll(tables []*profile.Table) string {
+func renderAll(tables []*table.Table) string {
 	var b strings.Builder
 	for _, tab := range tables {
 		tab.Render(&b)

@@ -5,7 +5,7 @@ import (
 
 	"amac/internal/memsim"
 	"amac/internal/ops"
-	"amac/internal/profile"
+	"amac/internal/table"
 )
 
 func init() {
@@ -15,13 +15,13 @@ func init() {
 }
 
 // fig10 reproduces Figure 10: BST search cost as a function of tree size.
-func fig10(cfg Config) []*profile.Table {
+func fig10(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	rows := make([]string, len(sz.bstSizes))
 	for i, e := range sz.bstSizes {
 		rows[i] = fmt.Sprintf("2^%d", e)
 	}
-	t := profile.New("fig10", "BST search on Xeon x5670", "cycles/probe tuple", rows, techColumns)
+	t := table.New("fig10", "BST search on Xeon x5670", "cycles/probe tuple", rows, techColumns)
 	t.AddNote("rows: tree size (nodes); probe relation size equals tree size; scale %q", cfg.scale())
 	type cell struct {
 		row  string
@@ -41,18 +41,18 @@ func fig10(cfg Config) []*profile.Table {
 	for i, res := range runSweep(cfg, tasks) {
 		t.Set(cells[i].row, cells[i].tech.String(), res.cyclesPerTuple())
 	}
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }
 
 // fig11 reproduces Figure 11: skip list search and insert cost versus size.
-func fig11(cfg Config) []*profile.Table {
+func fig11(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	rows := make([]string, len(sz.slSizes))
 	for i, e := range sz.slSizes {
 		rows[i] = fmt.Sprintf("2^%d", e)
 	}
-	search := profile.New("fig11-search", "Skip list search on Xeon x5670", "cycles/probe tuple", rows, techColumns)
-	insert := profile.New("fig11-insert", "Skip list insert on Xeon x5670", "cycles/input tuple", rows, techColumns)
+	search := table.New("fig11-search", "Skip list search on Xeon x5670", "cycles/probe tuple", rows, techColumns)
+	insert := table.New("fig11-insert", "Skip list insert on Xeon x5670", "cycles/input tuple", rows, techColumns)
 	search.AddNote("rows: skip list size (elements); scale %q", cfg.scale())
 	insert.AddNote("rows: number of inserted elements (list built from scratch); scale %q", cfg.scale())
 	type cell struct {
@@ -78,17 +78,17 @@ func fig11(cfg Config) []*profile.Table {
 		search.Set(cells[i].row, cells[i].tech.String(), res.search.cyclesPerTuple())
 		insert.Set(cells[i].row, cells[i].tech.String(), res.insert.cyclesPerTuple())
 	}
-	return []*profile.Table{search, insert}
+	return []*table.Table{search, insert}
 }
 
 // fig13 reproduces Figure 13: BST search and skip list search on the T4.
-func fig13(cfg Config) []*profile.Table {
+func fig13(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	rows := []string{
 		fmt.Sprintf("BST search (2^%d nodes)", sz.bstT4),
 		fmt.Sprintf("Skip list search (2^%d elements)", sz.slT4),
 	}
-	t := profile.New("fig13", "BST and skip list search on SPARC T4", "cycles/probe tuple", rows, techColumns)
+	t := table.New("fig13", "BST and skip list search on SPARC T4", "cycles/probe tuple", rows, techColumns)
 	t.AddNote("scale %q", cfg.scale())
 	type pair struct{ bst, sl phaseResult }
 	var tasks []func(*sweepEnv) pair
@@ -106,5 +106,5 @@ func fig13(cfg Config) []*profile.Table {
 		t.Set(rows[0], tech.String(), res.bst.cyclesPerTuple())
 		t.Set(rows[1], tech.String(), res.sl.cyclesPerTuple())
 	}
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }

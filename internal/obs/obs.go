@@ -18,6 +18,11 @@
 //     (in-flight width, MSHR occupancy, queue depth, sliding-window p99,
 //     stall fraction), exported as JSON Lines.
 //
+// Sinks bundles both with the cycle-attribution profiler (package prof) as
+// the one value a run passes down to its cores, and Sinks.Attach wires all
+// three onto a memsim core: registration, profiler, cycle hook and the
+// gauges every core shares.
+//
 // Everything is nil-safe: a nil *Trace hands out nil *CoreTrace values, and
 // every CoreTrace/CoreMetrics/LatencyWindow method on a nil receiver is a
 // no-op. Instrumented code therefore threads the pointers unconditionally

@@ -86,7 +86,7 @@ func TestTraceCoreReuseAndDiscard(t *testing.T) {
 	if n := len(tr.Cores()); n != 2 {
 		t.Fatalf("Cores = %d sinks, want 2", n)
 	}
-	d := NewDiscardCore()
+	d := newDiscardCore()
 	for i := 0; i < 100; i++ {
 		d.WidthChange(uint64(i), i)
 	}

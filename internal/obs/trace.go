@@ -74,10 +74,11 @@ func (t *Trace) Cores() []*CoreTrace {
 	return append([]*CoreTrace(nil), t.cores...)
 }
 
-// NewDiscardCore returns an unregistered single-slot sink. The serving layer
-// uses it when metrics are enabled without tracing, so the width gauge still
-// has a live holder to read; nothing recorded into it is ever exported.
-func NewDiscardCore() *CoreTrace {
+// newDiscardCore returns an unregistered single-slot sink. Sinks.Attach
+// hands it out when metrics are enabled without tracing, so the width gauge
+// still has a live holder to read; nothing recorded into it is ever
+// exported.
+func newDiscardCore() *CoreTrace {
 	return &CoreTrace{name: "discard", buf: make([]Event, 1), mask: 0}
 }
 

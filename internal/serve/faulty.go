@@ -397,9 +397,11 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 	pooled := make([]*memsim.PooledSystem, n)
 	cores := make([]*memsim.Core, n)
 	sources := make([]*QueueSource[S], n)
+	atts := make([]obs.Attached, n)
 	trs := make([]*obs.CoreTrace, n)
 	lws := make([]*obs.LatencyWindow, n)
 	brown := make([]*fault.Brownout, n)
+	sinks := obs.Sinks{Trace: opts.Trace, Metrics: opts.Metrics, Profile: opts.Profile}
 	shared := opts.Hardware.ShareLLC(n)
 	for w := 0; w < n; w++ {
 		pooled[w] = memsim.AcquireSystem(shared)
@@ -409,16 +411,12 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 			opts.Prepare(w, cores[w])
 		}
 		cores[w].ResetStats()
-		cores[w].SetProfiler(opts.Profile.Core(fmt.Sprintf("worker %d", w)))
+		// Cores attach here, in worker order on one goroutine, so the
+		// exported layout is deterministic regardless of the goroutine
+		// schedule.
+		atts[w] = sinks.Attach(cores[w], fmt.Sprintf("worker %d", w))
+		trs[w] = atts[w].Trace
 		sources[w] = NewQueueSource(workers[w].Machine, arr[w], opts.QueueCap, opts.Policy, nil)
-		// Tracks register here, in worker order on one goroutine, so the
-		// exported trace's process layout is deterministic regardless of the
-		// goroutine schedule. Metrics without tracing still needs a CoreTrace
-		// as the width-gauge holder; an unregistered discard core serves.
-		trs[w] = opts.Trace.Core(fmt.Sprintf("worker %d", w))
-		if trs[w] == nil && opts.Metrics != nil {
-			trs[w] = obs.NewDiscardCore()
-		}
 		sources[w].SetTrace(trs[w])
 		if opts.Metrics != nil || opts.SLO.Enabled() {
 			lws[w] = obs.NewLatencyWindow(0)
@@ -432,25 +430,10 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		if opts.Sched != nil {
 			sources[w].SetSchedule(opts.Sched[w])
 		}
-		if opts.Metrics != nil {
-			cm := opts.Metrics.Core(fmt.Sprintf("worker %d", w))
-			src, c, tr, lw := sources[w], cores[w], trs[w], lws[w]
+		if cm := atts[w].Metrics; cm != nil {
+			src, lw := sources[w], lws[w]
 			cm.Gauge("queue_depth", func() float64 { return float64(src.Depth()) })
-			cm.Gauge("mshr_outstanding", func() float64 { return float64(c.MSHROutstanding()) })
-			cm.Gauge("width", func() float64 { return float64(tr.Width()) })
 			cm.Gauge("p99_window", func() float64 { return float64(lw.Quantile(0.99)) })
-			var prev memsim.Stats
-			cm.Gauge("stall_fraction", func() float64 {
-				s := c.Stats()
-				busy := (s.Cycles - prev.Cycles) - (s.IdleCycles - prev.IdleCycles)
-				stall := s.StallCycles - prev.StallCycles
-				prev = s
-				if busy == 0 {
-					return 0
-				}
-				return float64(stall) / float64(busy)
-			})
-			c.SetCycleHook(opts.Metrics.Interval(), cm.Tick)
 		}
 	}
 
@@ -695,8 +678,7 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		res.Latency.Merge(sources[w].Recorder())
 		res.Faults.Merge(&info)
 		sources[w].Close()
-		cores[w].SetCycleHook(0, nil) // pooled core: never leak a hook or profiler past the run
-		cores[w].SetProfiler(nil)
+		atts[w].Detach() // pooled core: never leak a hook or profiler past the run
 		pooled[w].Release()
 	}
 	return res

@@ -1,4 +1,4 @@
-package profile
+package table
 
 import (
 	"encoding/json"
@@ -57,7 +57,7 @@ func WriteJSONRows(w io.Writer, experiment string, tables []*Table) error {
 	for _, t := range tables {
 		for _, row := range t.Rows(experiment) {
 			if err := enc.Encode(row); err != nil {
-				return fmt.Errorf("profile: encoding %s/%s row %q: %w", experiment, t.ID, row.Row, err)
+				return fmt.Errorf("table: encoding %s/%s row %q: %w", experiment, t.ID, row.Row, err)
 			}
 		}
 	}

@@ -1,9 +1,9 @@
-// Package profile holds the result-table representation shared by the
+// Package table holds the result-table representation shared by the
 // experiment harness, the amacbench command and the benchmark suite: a named
 // grid of numeric values (rows = workload points, columns = techniques or
 // sweep parameters) with enough metadata to render the same rows and series
 // that the paper's tables and figures report.
-package profile
+package table
 
 import (
 	"fmt"
@@ -62,7 +62,7 @@ func (t *Table) rowIndex(label string) int {
 			return i
 		}
 	}
-	panic(fmt.Sprintf("profile: table %s has no row %q", t.ID, label))
+	panic(fmt.Sprintf("table: table %s has no row %q", t.ID, label))
 }
 
 func (t *Table) colIndex(label string) int {
@@ -71,7 +71,7 @@ func (t *Table) colIndex(label string) int {
 			return i
 		}
 	}
-	panic(fmt.Sprintf("profile: table %s has no column %q", t.ID, label))
+	panic(fmt.Sprintf("table: table %s has no column %q", t.ID, label))
 }
 
 // AddNote appends a remark rendered under the table.

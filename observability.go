@@ -8,8 +8,11 @@ import "amac/internal/obs"
 // every recording method on a nil receiver is a single-branch no-op that
 // allocates nothing — so instrumented code threads the pointers
 // unconditionally, and simulated results are byte-identical with the sinks
-// on or off. Attach a Trace/Metrics through ServiceOptions, Options.Trace,
-// Pipeline.SetTrace, AdaptiveController.SetTrace or ExperimentConfig.
+// on or off. Attach a Trace/Metrics to one core with Sinks.Attach, to a
+// service through ServiceOptions, to an engine through Options.Trace, to a
+// pipeline or controller through Pipeline.SetTrace or
+// AdaptiveController.SetTrace, and to an experiment through
+// ExperimentConfig.Sinks.
 
 // Trace is the root event-trace sink: a registry of per-core ring-buffered
 // event sinks recording slot lifecycle, GP/SPP group boundaries, controller
@@ -65,3 +68,10 @@ func NewMetrics(interval int) *Metrics { return obs.NewMetrics(interval) }
 
 // CoreMetrics is one core's gauge collection, handed out by Metrics.Core.
 type CoreMetrics = obs.CoreMetrics
+
+// Sinks is one run's set of sinks: Trace, Metrics and CycleProfile, each
+// nil when disabled. Sinks.Attach registers a core in every enabled sink,
+// installs its profiler and metrics cycle hook, and adds the width,
+// mshr_outstanding and stall_fraction gauges; Detach on the result removes
+// the hook and profiler after the run and turns those gauges to 0.
+type Sinks = obs.Sinks

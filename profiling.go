@@ -12,9 +12,9 @@ import "amac/internal/prof"
 // observability sinks, a nil profiler is the disabled state: every method on
 // a nil receiver is a single-branch no-op that allocates nothing, so
 // instrumented code threads the pointers unconditionally and a profiled run
-// is byte-identical to an unprofiled one. Attach through Core.SetProfiler,
-// ServiceOptions.Profile or ExperimentConfig.Profile; export with
-// WriteFolded (flamegraph.pl/speedscope) or WritePprof (go tool pprof).
+// is byte-identical to an unprofiled one. Attach through Sinks.Attach,
+// Core.SetProfiler, ServiceOptions.Profile or ExperimentConfig.Sinks; export
+// with WriteFolded (flamegraph.pl/speedscope) or WritePprof (go tool pprof).
 
 // CycleProfile is the root profiler registry: named per-core cycle
 // attributions, registered through Core and aggregated with Merged. nil

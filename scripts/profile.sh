@@ -12,10 +12,11 @@
 #   scripts/profile.sh [outdir]
 #   EXP=serveN SCALE=small scripts/profile.sh out
 #
-# EXP must be one of the profiled experiments (profN, serveN). Profiling
-# never changes simulated results — the tables printed here are
-# byte-identical to an unprofiled run (TestProfiledDifferential holds the
-# module to that).
+# EXP must be an experiment whose registry entry declares the profile sink
+# (experiments.UsesProfile): profN, serveN, adaptN, faultN, pipeN or obsN.
+# Profiling never changes simulated results — the tables printed here are
+# byte-identical to an unprofiled run (TestObservabilityDifferential holds
+# the module to that).
 
 set -eu
 

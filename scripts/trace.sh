@@ -15,11 +15,12 @@
 #   scripts/trace.sh [outdir]
 #   EXP=serveN SCALE=small scripts/trace.sh out
 #
-# EXP must be one of the traceable experiments (serveN, adaptN, pipeN, obsN,
-# faultN); pipeN records a trace but no metrics, so the metrics pass is
-# skipped for it. Tracing never changes simulated results — the tables printed here are
-# byte-identical to an untraced run (TestObservabilityDifferential holds the
-# module to that).
+# EXP must be an experiment whose registry entry declares the trace and
+# metrics sinks (experiments.UsesTrace, UsesMetrics): serveN, adaptN, faultN,
+# pipeN or obsN; `amacbench -exp <id> -trace t.json` names them when it
+# rejects another. Tracing never changes simulated results — the tables
+# printed here are byte-identical to an untraced run
+# (TestObservabilityDifferential holds the module to that).
 
 set -eu
 
@@ -32,21 +33,13 @@ mkdir -p "$outdir"
 trace="$outdir/${exp}_${scale}.trace.json"
 metrics="$outdir/${exp}_${scale}.metrics.jsonl"
 
-case "$exp" in
-pipeN)
-	echo ">> amacbench -exp $exp -scale $scale -trace $trace"
-	go run ./cmd/amacbench -exp "$exp" -scale "$scale" -trace "$trace"
-	;;
-*)
-	echo ">> amacbench -exp $exp -scale $scale -trace $trace -metrics $metrics"
-	if [ -n "$interval" ]; then
-		go run ./cmd/amacbench -exp "$exp" -scale "$scale" \
-			-trace "$trace" -metrics "$metrics" -metrics-interval "$interval"
-	else
-		go run ./cmd/amacbench -exp "$exp" -scale "$scale" \
-			-trace "$trace" -metrics "$metrics"
-	fi
-	;;
-esac
+echo ">> amacbench -exp $exp -scale $scale -trace $trace -metrics $metrics"
+if [ -n "$interval" ]; then
+	go run ./cmd/amacbench -exp "$exp" -scale "$scale" \
+		-trace "$trace" -metrics "$metrics" -metrics-interval "$interval"
+else
+	go run ./cmd/amacbench -exp "$exp" -scale "$scale" \
+		-trace "$trace" -metrics "$metrics"
+fi
 
 echo ">> wrote $trace — load it at https://ui.perfetto.dev"
