@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -122,8 +123,9 @@ func runWithSinks(t *testing.T, id string, parallel int, attach Uses) sinkRun {
 // would pass the diff while proving nothing) and every sink it does not
 // declare must record nothing. An experiment that declares sinks then runs
 // on 4 sweep workers, where only its designated cell may record: with all
-// sinks, with none, and with each declared sink alone (which covers paths
-// such as metrics without a trace). Every export must match the serial
+// sinks, with none, and with a declared trace or metrics sink alone (which
+// covers paths such as metrics without a trace; TestProfiledDifferential
+// runs the profile sink alone). Every export must match the serial
 // run's byte for byte, and so must the text tables. Under the race detector
 // only the all-sinks runs of the sink-declaring experiments execute: the
 // others are serial or touch the sinks from one goroutine, so they would add
@@ -171,13 +173,65 @@ func TestObservabilityDifferential(t *testing.T) {
 			t.Run("unobserved", func(t *testing.T) {
 				check(t, runWithSinks(t, d.ID, 4, 0), 0)
 			})
-			for _, u := range []Uses{UsesTrace, UsesMetrics, UsesProfile} {
+			for _, u := range []Uses{UsesTrace, UsesMetrics} {
 				if declared&u == 0 {
 					continue
 				}
 				u := u
 				t.Run("only="+u.String(), func(t *testing.T) {
 					check(t, runWithSinks(t, d.ID, 4, u), u)
+				})
+			}
+		})
+	}
+}
+
+// TestProfiledDifferential holds the profile sink alone to the same
+// invariant, for every experiment that declares UsesProfile: with only a
+// profile attached, serially and on 4 sweep workers, the text tables must
+// equal an unobserved serial run's, the -json rows must equal
+// testdata/exp_tiny.json, the run must attribute cycles and record no other
+// sink, and the folded and pprof exports must not depend on the worker
+// count. Under the race detector only the -parallel 4 runs execute, checked
+// against testdata/exp_tiny.json alone: the others are serial.
+func TestProfiledDifferential(t *testing.T) {
+	golden := goldenRows(t)
+	parallels := []int{1, 4}
+	if raceEnabled {
+		parallels = []int{4}
+	}
+	for _, id := range Using(UsesProfile) {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			var base, serial sinkRun
+			if !raceEnabled {
+				base = runWithSinks(t, id, 1, 0)
+			}
+			for _, parallel := range parallels {
+				parallel := parallel
+				t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+					r := runWithSinks(t, id, parallel, UsesProfile)
+					if r.jsonl != golden[id] {
+						t.Errorf("-json rows differ from testdata/exp_tiny.json when profiled:\n--- golden ---\n%s\n--- got ---\n%s", golden[id], r.jsonl)
+					}
+					if r.recorded != UsesProfile {
+						t.Errorf("with a profile attached, %v recorded; want profile", r.recorded)
+					}
+					if raceEnabled {
+						return
+					}
+					if r.text != base.text {
+						t.Errorf("text tables differ profiled vs unprofiled:\n--- unprofiled ---\n%s\n--- profiled ---\n%s", base.text, r.text)
+					}
+					if parallel == 1 {
+						serial = r
+						return
+					}
+					for name, got := range r.exports {
+						if got != serial.exports[name] {
+							t.Errorf("%s export differs from the serial profiled run", name)
+						}
+					}
 				})
 			}
 		})

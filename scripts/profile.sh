@@ -15,8 +15,8 @@
 # EXP must be an experiment whose registry entry declares the profile sink
 # (experiments.UsesProfile): profN, serveN, adaptN, faultN, pipeN or obsN.
 # Profiling never changes simulated results — the tables printed here are
-# byte-identical to an unprofiled run (TestObservabilityDifferential holds
-# the module to that).
+# byte-identical to an unprofiled run (TestObservabilityDifferential and
+# TestProfiledDifferential hold the module to that).
 
 set -eu
 
