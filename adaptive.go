@@ -19,7 +19,7 @@ import (
 type ProbeWindow = exec.Window
 
 // WidthController is consulted by the AMAC engines once per probe window
-// when attached via Options.Controller (or Params.Controller) and may
+// when attached via Options.Controller and may
 // resize the slot window mid-run; the engine applies changes safely, never
 // abandoning an in-flight lookup. GP and SPP cannot act on it — their group
 // size and pipeline depth are baked into their control flow — which is the
@@ -36,8 +36,8 @@ type WidthAIMD = adapt.WidthAIMD
 func NewWidthAIMD(start, min, max int) *WidthAIMD { return adapt.NewWidthAIMD(start, min, max) }
 
 // AdaptiveConfig tunes an adaptive controller: candidate techniques,
-// segment and probe lengths, drift band, width bounds and streaming lease
-// quotas. The zero value selects the documented defaults.
+// starting window, segment and probe lengths and streaming lease quotas.
+// The zero value selects the documented defaults.
 type AdaptiveConfig = adapt.Config
 
 // AdaptiveController carries the adaptive state — chosen technique,

@@ -15,7 +15,7 @@
 //	amacbench -exp serveN -arrivals bursty -qcap 64  # bursty traffic, bounded drop queue
 //	amacbench -exp adaptN               # adaptive execution vs every static config
 //	amacbench -exp pipeN                # streaming multi-operator pipelines + mini-planner
-//	amacbench -exp pipeN -plans mixed -burst 32  # one plan, smaller pump leases
+//	amacbench -exp pipeN -plans mixed   # one plan only
 //	amacbench -exp faultN               # fault injection: graceful-degradation ladder
 //	amacbench -exp faultN -faults "slow:0@20000+40000x4,crash:1@90000+30000"
 //	amacbench -exp faultN -slo 8000 -deadline 6000  # SLO brownout row, fixed deadline
@@ -63,7 +63,6 @@ type cliFlags struct {
 	arrivals            string
 	qcap                int
 	plans               string
-	burst, pipeCap      int
 	faults              string
 	deadline, slo       int
 	jsonOut             bool
@@ -132,8 +131,7 @@ func main() {
 	cfg := experiments.Config{
 		Scale: experiments.Scale(f.scale), Seed: f.seed, Window: f.window, Workers: f.workers,
 		Arrivals: f.arrivals, QueueCap: f.qcap, Parallel: f.parallel,
-		Plans: f.plans, Burst: f.burst, PipeCap: f.pipeCap,
-		Faults: f.faults, Deadline: f.deadline, SLOBudget: f.slo,
+		Plans: f.plans, Faults: f.faults, Deadline: f.deadline, SLOBudget: f.slo,
 	}
 	if f.tracePath != "" {
 		cfg.Sinks.Trace = obs.NewTrace(0)
@@ -187,13 +185,11 @@ func defineFlags(fs *flag.FlagSet, f *cliFlags) {
 	fs.StringVar(&f.scale, "scale", "small", "dataset scale: tiny, small or paper")
 	fs.Uint64Var(&f.seed, "seed", 42, "workload generation seed")
 	fs.IntVar(&f.window, "window", 0, "override the number of in-flight lookups (0 = per-experiment default)")
-	fs.IntVar(&f.workers, "workers", 0, "cap the parallel experiments' worker sweep (0 = default sweep 1,2,4,8,16); serveN worker count")
+	fs.IntVar(&f.workers, "workers", 0, "scaleN's worker sweep cap (0 = default sweep 1,2,4,8,16); the worker count of serveN, adaptN and faultN")
 	fs.IntVar(&f.parallel, "parallel", 0, "host workers for independent sweep points (0 = all cores, 1 = serial); results are identical for every value")
 	fs.StringVar(&f.arrivals, "arrivals", "", "serving arrival process: deterministic, poisson (default) or bursty")
 	fs.IntVar(&f.qcap, "qcap", 0, "bound the serving admission queue and drop on overflow (0 = unbounded blocking queue)")
 	fs.StringVar(&f.plans, "plans", "", "pipeline plan filter: comma-separated case-insensitive substrings of pipeN plan names (empty = every plan)")
-	fs.IntVar(&f.burst, "burst", 0, "pipeline pump lease size: admissions per upstream lease (0 = pipeline default)")
-	fs.IntVar(&f.pipeCap, "pipecap", 0, "pipeline inter-stage pipe capacity in rows, the backpressure bound (0 = pipeline default)")
 	fs.StringVar(&f.faults, "faults", "", "faultN chaos schedule: comma-separated \"kind:shard@start+dur[xfactor]\" episodes or \"rand:SEED[:N]\" (empty = default scenario)")
 	fs.IntVar(&f.deadline, "deadline", 0, "faultN per-request deadline in cycles (0 = derive 2x the clean-run p99)")
 	fs.IntVar(&f.slo, "slo", 0, "faultN p99 SLO budget in cycles; enables the brownout row (0 = omit it)")
@@ -219,11 +215,10 @@ var flagScopes = []struct {
 	withAll bool
 	verb    string
 }{
+	{"workers", experiments.UsesWorkers, true, "affects"},
 	{"arrivals", experiments.UsesServing, true, "affects"},
 	{"qcap", experiments.UsesServing, true, "affects"},
 	{"plans", experiments.UsesPipeline, true, "affects"},
-	{"burst", experiments.UsesPipeline, true, "affects"},
-	{"pipecap", experiments.UsesPipeline, true, "affects"},
 	{"faults", experiments.UsesFaults, true, "affects"},
 	{"deadline", experiments.UsesFaults, true, "affects"},
 	{"slo", experiments.UsesFaults, true, "affects"},
@@ -261,7 +256,7 @@ func validateFlags(f cliFlags, visit func(func(*flag.Flag))) error {
 		v    int
 	}{
 		{"window", f.window}, {"workers", f.workers}, {"qcap", f.qcap},
-		{"parallel", f.parallel}, {"burst", f.burst}, {"pipecap", f.pipeCap},
+		{"parallel", f.parallel},
 		{"deadline", f.deadline}, {"slo", f.slo}, {"metrics-interval", f.metEvery},
 	} {
 		if n.v < 0 {
@@ -376,7 +371,7 @@ func validateExplicitZero(visit func(func(*flag.Flag))) error {
 			return
 		}
 		switch f.Name {
-		case "seed", "deadline", "qcap", "pipecap", "metrics-interval", "slo":
+		case "seed", "deadline", "qcap", "metrics-interval", "slo":
 			if f.Value.String() == "0" {
 				bad = f.Name
 			}

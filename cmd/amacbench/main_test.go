@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -103,29 +104,39 @@ func TestServingExperimentsRegistered(t *testing.T) {
 	checkScope(t, experiments.UsesServing, "-arrivals", "bursty", "-qcap", "8")
 }
 
-// TestValidatePipelineFlags: -plans/-burst/-pipecap must be rejected whenever
-// they would silently no-op — any non-pipeline experiment — and accepted for
-// the pipeline experiment and -exp all.
+// TestValidatePipelineFlags: -plans must be rejected whenever it would
+// silently no-op — any non-pipeline experiment — and accepted for the
+// pipeline experiment and -exp all. The removed pump-geometry flags
+// -burst/-pipecap fail in the flag parser.
 func TestValidatePipelineFlags(t *testing.T) {
 	checkValidate(t, []validateCase{
 		{"no pipeline flags", []string{"-exp", "fig6"}, ""},
 		{"pipeN with plans", []string{"-exp", "pipeN", "-plans", "mixed"}, ""},
-		{"pipeN with burst", []string{"-exp", "pipeN", "-burst", "32"}, ""},
-		{"pipeN with pipecap", []string{"-exp", "pipeN", "-pipecap", "64"}, ""},
-		{"pipeN with all three", []string{"-exp", "pipeN", "-plans", "bst,chain", "-burst", "16", "-pipecap", "32"}, ""},
-		{"all includes pipeline", []string{"-exp", "all", "-burst", "16"}, ""},
+		{"pipeN with burst", []string{"-exp", "pipeN", "-burst", "32"}, "flag provided but not defined: -burst"},
+		{"pipeN with pipecap", []string{"-exp", "pipeN", "-pipecap", "64"}, "flag provided but not defined: -pipecap"},
+		{"pipeN with all three", []string{"-exp", "pipeN", "-plans", "bst,chain", "-burst", "16", "-pipecap", "32"}, "flag provided but not defined: -burst"},
+		{"all includes pipeline", []string{"-exp", "all", "-plans", "chain"}, ""},
 		{"fig6 with plans", []string{"-exp", "fig6", "-plans", "mixed"}, "-plans only affects"},
-		{"fig5b with burst", []string{"-exp", "fig5b", "-burst", "8"}, "-burst only affects"},
-		{"serveN with pipecap", []string{"-exp", "serveN", "-pipecap", "8"}, "-pipecap only affects"},
-		{"table3 with plans and burst", []string{"-exp", "table3", "-plans", "agg", "-burst", "8"}, "-plans/-burst only affects"},
-		{"scaleN with all three", []string{"-exp", "scaleN", "-plans", "bst", "-burst", "4", "-pipecap", "8"}, "-plans/-burst/-pipecap only affects"},
+		{"fig5b with burst", []string{"-exp", "fig5b", "-burst", "8"}, "flag provided but not defined: -burst"},
+		{"serveN with pipecap", []string{"-exp", "serveN", "-pipecap", "8"}, "flag provided but not defined: -pipecap"},
+		{"table3 with plans and burst", []string{"-exp", "table3", "-plans", "agg", "-burst", "8"}, "flag provided but not defined: -burst"},
+		{"scaleN with all three", []string{"-exp", "scaleN", "-plans", "bst", "-burst", "4", "-pipecap", "8"}, "flag provided but not defined: -burst"},
 	})
 }
 
-// TestPipelineExperimentsRegistered: the pipeline flags reach exactly the
-// experiments whose Uses declares UsesPipeline.
+// TestPipelineExperimentsRegistered: -plans reaches exactly the experiments
+// whose Uses declares UsesPipeline.
 func TestPipelineExperimentsRegistered(t *testing.T) {
-	checkScope(t, experiments.UsesPipeline, "-plans", "mixed", "-burst", "8", "-pipecap", "16")
+	checkScope(t, experiments.UsesPipeline, "-plans", "mixed")
+}
+
+// TestWorkersExperimentsRegistered: -workers reaches exactly the experiments
+// whose Uses declares UsesWorkers, and -exp all may carry it.
+func TestWorkersExperimentsRegistered(t *testing.T) {
+	checkScope(t, experiments.UsesWorkers, "-workers", "2")
+	if err := validateArgs("-exp", "all", "-workers", "2"); err != nil {
+		t.Fatalf("-exp all -workers 2: %v", err)
+	}
 }
 
 // TestValidateObsFlags: -trace/-metrics/-metrics-interval must be rejected
@@ -189,7 +200,8 @@ func TestProfExperimentsRegistered(t *testing.T) {
 // TestValidateExplicitZero: knobs whose zero value means "use the default"
 // must reject an explicit `-flag 0` on the command line — it would silently
 // behave as if the flag were absent — while an unset flag, a nonzero value,
-// or an explicit zero on an unrelated flag all pass.
+// or an explicit zero on an unrelated flag all pass. The removed -pipecap
+// fails in the flag parser.
 func TestValidateExplicitZero(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -203,26 +215,21 @@ func TestValidateExplicitZero(t *testing.T) {
 		{name: "explicit zero qcap", args: []string{"-qcap", "0"}, wantErr: "-qcap 0 is meaningless"},
 		{name: "explicit zero deadline", args: []string{"-deadline", "0"}, wantErr: "-deadline 0 is meaningless"},
 		{name: "explicit zero slo", args: []string{"-slo", "0"}, wantErr: "-slo 0 is meaningless"},
-		{name: "explicit zero pipecap", args: []string{"-pipecap", "0"}, wantErr: "-pipecap 0 is meaningless"},
+		{name: "explicit zero pipecap", args: []string{"-pipecap", "0"}, wantErr: "flag provided but not defined: -pipecap"},
 		{name: "explicit zero metrics-interval", args: []string{"-metrics-interval", "0"}, wantErr: "-metrics-interval 0 is meaningless"},
-		{name: "zero among valid flags", args: []string{"-qcap", "32", "-pipecap", "0"}, wantErr: "-pipecap 0 is meaningless"},
+		{name: "zero among valid flags", args: []string{"-qcap", "32", "-slo", "0"}, wantErr: "-slo 0 is meaningless"},
 		{name: "nonzero seed", args: []string{"-seed", "7"}},
 		{name: "explicit zero seed", args: []string{"-seed", "0"}, wantErr: "-seed 0 is meaningless"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("amacbench", flag.ContinueOnError)
-			fs.Int("window", 0, "")
-			fs.Int("qcap", 0, "")
-			fs.Int("pipecap", 0, "")
-			fs.Int("metrics-interval", 0, "")
-			fs.Int("deadline", 0, "")
-			fs.Int("slo", 0, "")
-			fs.Uint64("seed", 42, "")
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
+			fs.SetOutput(io.Discard)
+			defineFlags(fs, &cliFlags{})
+			err := fs.Parse(tc.args)
+			if err == nil {
+				err = validateExplicitZero(fs.Visit)
 			}
-			err := validateExplicitZero(fs.Visit)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -421,10 +428,20 @@ func runAmacbench(t *testing.T, args ...string) (int, string, []string) {
 	return code, stderr.String(), files
 }
 
+// undefinedFlag starts the flag parser's message for a flag amacbench does
+// not define.
+const undefinedFlag = "flag provided but not defined: "
+
+// panicTrace matches a Go panic's message or goroutine header, but not the
+// flag usage text the parser prints for an undefined flag (it mentions "a
+// goroutine blocking profile").
+var panicTrace = regexp.MustCompile(`panic:|goroutine \d+ \[`)
+
 // TestInvalidFlagMatrix runs amacbench on every kind of invalid command line:
-// negative values, explicit zeros, unknown names, malformed specs and flags
-// outside their experiment's scope. Each must exit 2 with one amacbench:
-// message, never panic, and create no file before giving up.
+// negative values, explicit zeros, unknown names, malformed specs, flags
+// outside their experiment's scope and removed flags. Each must exit 2 with
+// one amacbench: message (the flag parser's own message for a removed flag),
+// never panic, and create no file before giving up.
 func TestInvalidFlagMatrix(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -435,14 +452,14 @@ func TestInvalidFlagMatrix(t *testing.T) {
 		{"negative workers", []string{"-exp", "scaleN", "-workers", "-2"}, "-workers must be non-negative"},
 		{"negative parallel", []string{"-exp", "fig6", "-parallel", "-1"}, "-parallel must be non-negative"},
 		{"negative qcap", []string{"-exp", "serveN", "-qcap", "-1"}, "-qcap must be non-negative"},
-		{"negative burst", []string{"-exp", "pipeN", "-burst", "-1"}, "-burst must be non-negative"},
-		{"negative pipecap", []string{"-exp", "pipeN", "-pipecap", "-8"}, "-pipecap must be non-negative"},
+		{"negative burst", []string{"-exp", "pipeN", "-burst", "-1"}, undefinedFlag + "-burst"},
+		{"negative pipecap", []string{"-exp", "pipeN", "-pipecap", "-8"}, undefinedFlag + "-pipecap"},
 		{"negative deadline", []string{"-exp", "faultN", "-deadline", "-1"}, "-deadline must be non-negative"},
 		{"negative slo", []string{"-exp", "faultN", "-slo", "-5"}, "-slo must be non-negative"},
 		{"negative metrics interval", []string{"-exp", "obsN", "-metrics", "m.jsonl", "-metrics-interval", "-1"}, "-metrics-interval must be non-negative"},
 		{"explicit zero seed", []string{"-exp", "fig3", "-seed", "0"}, "-seed 0 is meaningless"},
 		{"explicit zero qcap", []string{"-exp", "serveN", "-qcap", "0"}, "-qcap 0 is meaningless"},
-		{"explicit zero pipecap", []string{"-exp", "pipeN", "-pipecap", "0"}, "-pipecap 0 is meaningless"},
+		{"explicit zero pipecap", []string{"-exp", "pipeN", "-pipecap", "0"}, undefinedFlag + "-pipecap"},
 		{"explicit zero deadline", []string{"-exp", "faultN", "-deadline", "0"}, "-deadline 0 is meaningless"},
 		{"explicit zero slo", []string{"-exp", "faultN", "-slo", "0"}, "-slo 0 is meaningless"},
 		{"explicit zero metrics interval", []string{"-exp", "obsN", "-metrics", "m.jsonl", "-metrics-interval", "0"}, "-metrics-interval 0 is meaningless"},
@@ -454,7 +471,9 @@ func TestInvalidFlagMatrix(t *testing.T) {
 		{"empty plans token", []string{"-exp", "pipeN", "-plans", "mixed,,agg"}, "empty token"},
 		{"unknown plans token", []string{"-exp", "pipeN", "-plans", "nosuchplan"}, "matches no pipeN plan"},
 		{"arrivals outside serving", []string{"-exp", "fig6", "-arrivals", "bursty"}, "-arrivals only affects"},
-		{"burst outside pipeline", []string{"-exp", "fig6", "-burst", "8"}, "-burst only affects"},
+		{"burst outside pipeline", []string{"-exp", "fig6", "-burst", "8"}, undefinedFlag + "-burst"},
+		{"workers outside its experiments", []string{"-exp", "fig12b", "-workers", "8"}, "-workers only affects the workers experiments (adaptN, faultN, scaleN, serveN)"},
+		{"workers with pipeN", []string{"-exp", "pipeN", "-workers", "2"}, "-workers only affects the workers experiments (adaptN, faultN, scaleN, serveN)"},
 		{"faults outside faultN", []string{"-exp", "serveN", "-faults", "rand:1"}, "-faults only affects"},
 		{"trace outside its experiments", []string{"-exp", "fig6", "-trace", "t.json"}, "-trace only records"},
 		{"trace with exp all", []string{"-exp", "all", "-trace", "t.json"}, "not -exp all"},
@@ -473,10 +492,14 @@ func TestInvalidFlagMatrix(t *testing.T) {
 			if code != 2 {
 				t.Fatalf("exit code %d, want 2; stderr:\n%s", code, stderr)
 			}
-			if !strings.HasPrefix(stderr, "amacbench: ") || !strings.Contains(stderr, tc.wantErr) {
-				t.Fatalf("stderr does not start with \"amacbench: \" or lacks %q:\n%s", tc.wantErr, stderr)
+			prefix := "amacbench: "
+			if strings.HasPrefix(tc.wantErr, undefinedFlag) {
+				prefix = undefinedFlag
 			}
-			if strings.Contains(stderr, "panic:") || strings.Contains(stderr, "goroutine ") {
+			if !strings.HasPrefix(stderr, prefix) || !strings.Contains(stderr, tc.wantErr) {
+				t.Fatalf("stderr does not start with %q or lacks %q:\n%s", prefix, tc.wantErr, stderr)
+			}
+			if panicTrace.MatchString(stderr) {
 				t.Fatalf("stderr shows a panic:\n%s", stderr)
 			}
 			if len(files) != 0 {
@@ -491,7 +514,7 @@ func TestInvalidFlagMatrix(t *testing.T) {
 func TestRemovedBenchFlags(t *testing.T) {
 	for _, args := range [][]string{{"-bench"}, {"-bench", "-exp", "fig6"}} {
 		code, stderr, _ := runAmacbench(t, args...)
-		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
+		if code != 2 || !strings.Contains(stderr, undefinedFlag+args[0]) {
 			t.Fatalf("%v: exit code %d, stderr:\n%s", args, code, stderr)
 		}
 	}

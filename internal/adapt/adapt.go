@@ -45,9 +45,6 @@ type Config struct {
 	// Window is the in-flight window for GP and SPP and the AMAC starting
 	// width. Zero selects ops.DefaultWindow.
 	Window int
-	// MinWidth and MaxWidth bound AMAC's adaptive slot window. Zero selects
-	// 2 and 32.
-	MinWidth, MaxWidth int
 	// SegmentLookups is the exploit segment length in lookups: the
 	// granularity at which drift is checked and a technique switch can
 	// happen. Zero selects 4096.
@@ -56,19 +53,6 @@ type Config struct {
 	// keep the steady-phase cost of measuring the losing techniques small.
 	// Zero selects 512.
 	ProbeLookups int
-	// DriftUp and DriftDown bound the no-reprobe band around the calibrated
-	// cycles-per-lookup reference: leaving it in either direction triggers
-	// a probe epoch (costlier per lookup means the chosen technique
-	// degraded; much cheaper means another technique may now win by more).
-	// The downward band is deliberately wide — gradual improvement (a hot
-	// set warming into the caches) should track through the reference's
-	// EWMA, not re-probe on every step of the ramp; only a sharp collapse
-	// in cost signals a genuine phase change. Zero selects 1.25 and 0.50.
-	DriftUp, DriftDown float64
-	// ProbeInterval is the width controller's sampling interval in
-	// completions (forwarded to core.Options). Zero selects the core
-	// default of width*4.
-	ProbeInterval int
 	// RetuneRequests is the streaming exploit lease: how many served
 	// requests between controller decisions in RunStream. Zero selects 512.
 	RetuneRequests int
@@ -83,6 +67,25 @@ type Config struct {
 	TuneGroupWindow bool
 }
 
+// minWidth and maxWidth bound AMAC's adaptive slot window.
+const (
+	minWidth = 2
+	maxWidth = 32
+)
+
+// driftUp and driftDown bound the no-reprobe band around the calibrated
+// cycles-per-lookup reference: leaving it in either direction triggers a
+// probe epoch (costlier per lookup means the chosen technique degraded;
+// much cheaper means another technique may now win by more). The downward
+// band is deliberately wide — gradual improvement (a hot set warming into
+// the caches) should track through the reference's EWMA, not re-probe on
+// every step of the ramp; only a sharp collapse in cost signals a genuine
+// phase change.
+const (
+	driftUp   = 1.25
+	driftDown = 0.50
+)
+
 // withDefaults resolves the documented defaults.
 func (c Config) withDefaults() Config {
 	if len(c.Techniques) == 0 {
@@ -90,15 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = ops.DefaultWindow
-	}
-	if c.MinWidth <= 0 {
-		c.MinWidth = 2
-	}
-	if c.MaxWidth <= 0 {
-		c.MaxWidth = 32
-	}
-	if c.MaxWidth < c.MinWidth {
-		c.MaxWidth = c.MinWidth
 	}
 	if c.SegmentLookups <= 0 {
 		c.SegmentLookups = 4096
@@ -108,12 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeLookups > c.SegmentLookups {
 		c.ProbeLookups = c.SegmentLookups
-	}
-	if c.DriftUp <= 1 {
-		c.DriftUp = 1.25
-	}
-	if c.DriftDown <= 0 || c.DriftDown >= 1 {
-		c.DriftDown = 0.50
 	}
 	if c.RetuneRequests <= 0 {
 		c.RetuneRequests = 512
@@ -226,7 +214,7 @@ func NewController(cfg Config) *Controller {
 	return &Controller{
 		cfg:    cfg,
 		chosen: ops.AMAC,
-		width:  NewWidthAIMD(cfg.Window, cfg.MinWidth, cfg.MaxWidth),
+		width:  NewWidthAIMD(cfg.Window, minWidth, maxWidth),
 	}
 }
 
@@ -280,11 +268,10 @@ func (ctl *Controller) Width() int { return ctl.width.W }
 // and the controller's trace sink attached.
 func (ctl *Controller) amacOptions() core.Options {
 	return core.Options{
-		Width:         ctl.width.W,
-		Controller:    ctl.width,
-		MaxWidth:      ctl.cfg.MaxWidth,
-		ProbeInterval: ctl.cfg.ProbeInterval,
-		Trace:         ctl.trace,
+		Width:      ctl.width.W,
+		Controller: ctl.width,
+		MaxWidth:   maxWidth,
+		Trace:      ctl.trace,
 	}
 }
 
@@ -308,7 +295,7 @@ func (ctl *Controller) observe(cpl float64) {
 	if cpl <= 0 {
 		return
 	}
-	if cpl > ctl.refCPL*ctl.cfg.DriftUp || cpl < ctl.refCPL*ctl.cfg.DriftDown {
+	if cpl > ctl.refCPL*driftUp || cpl < ctl.refCPL*driftDown {
 		ctl.recalibrate(KindDriftReprobe, cpl)
 		return
 	}
@@ -322,7 +309,7 @@ func (ctl *Controller) observe(cpl float64) {
 // queue pressure — in the decision log.
 func (ctl *Controller) recalibrate(kind DecisionKind, cpl float64) {
 	ctl.calibrated = false
-	ctl.width = NewWidthAIMD(ctl.cfg.Window, ctl.cfg.MinWidth, ctl.cfg.MaxWidth)
+	ctl.width = NewWidthAIMD(ctl.cfg.Window, minWidth, maxWidth)
 	ctl.width.Trace = ctl.trace
 	ctl.groups = nil
 	ctl.record(kind, ctl.chosen, ctl.chosen, cpl)
@@ -338,7 +325,6 @@ func (ctl *Controller) recalibrate(kind DecisionKind, cpl float64) {
 type driftStop struct {
 	width    *WidthAIMD
 	ref      float64
-	up, down float64
 	warmup   int
 	patience int
 	streak   int
@@ -352,7 +338,6 @@ type driftStop struct {
 func newDriftStop(ctl *Controller) *driftStop {
 	return &driftStop{
 		width: ctl.width, ref: ctl.refCPL,
-		up: ctl.cfg.DriftUp, down: ctl.cfg.DriftDown,
 		warmup: 2, patience: 3,
 	}
 }
@@ -364,7 +349,7 @@ func (d *driftStop) Sample(w exec.Window) int {
 		return d.width.Sample(w)
 	}
 	cpl := w.CyclesPerCompletion()
-	if cpl > 0 && (cpl > d.ref*d.up || cpl < d.ref*d.down) {
+	if cpl > 0 && (cpl > d.ref*driftUp || cpl < d.ref*driftDown) {
 		if d.streak++; d.streak >= d.patience {
 			d.stopped = true
 			d.lastCPL = cpl

@@ -246,14 +246,8 @@ func (a *Arena) Bytes(addr Addr, size int) []byte {
 	return a.slice(addr, size)
 }
 
-// ReadInto copies len(dst) bytes starting at addr into dst without
-// allocating.
-func (a *Arena) ReadInto(dst []byte, addr Addr) {
-	copy(dst, a.slice(addr, len(dst)))
-}
-
 // ReadBytes copies size bytes starting at addr into a new slice. Prefer
-// Bytes or ReadInto on hot paths; ReadBytes allocates its result.
+// Bytes on hot paths; ReadBytes allocates its result.
 func (a *Arena) ReadBytes(addr Addr, size int) []byte {
 	out := make([]byte, size)
 	copy(out, a.slice(addr, size))

@@ -76,14 +76,6 @@ type Options struct {
 	// ProbeInterval is the number of completions between controller
 	// samples. Zero selects Width*DefaultProbeFactor.
 	ProbeInterval int
-	// SeedWidthFromMSHRs makes a zero Width start at the core's measured
-	// MSHR budget (memsim.Core.MSHRBudget) instead of DefaultWidth: the
-	// paper finds throughput saturates once the slot window covers the
-	// hardware MLP limit, so seeding there starts the engine near-optimal on
-	// any modeled machine — including SMT configurations, where the per-
-	// thread budget is a fraction of the L1 MSHR count. An explicit Width
-	// always wins.
-	SeedWidthFromMSHRs bool
 	// Trace, if non-nil, records the run's slot lifecycle (admit, stage
 	// visits, retries, prefetches, complete), probe-window samples and width
 	// changes into the per-core event ring. Purely observational: simulated
@@ -99,14 +91,11 @@ type Options struct {
 	Deadline uint64
 }
 
-// resolveWidth applies the width default: an explicit width wins, then the
-// measured MSHR budget when seeding is requested, then DefaultWidth.
-func (o Options) resolveWidth(c *memsim.Core) int {
+// width applies the width default: an explicit width wins, then
+// DefaultWidth.
+func (o Options) width() int {
 	if o.Width > 0 {
 		return o.Width
-	}
-	if o.SeedWidthFromMSHRs {
-		return c.MSHRBudget()
 	}
 	return DefaultWidth
 }

@@ -117,7 +117,7 @@ type StreamEngine[S any] struct {
 // caller must Close the engine when finished with it (RunStream does all
 // three steps).
 func NewStreamEngine[S any](c *memsim.Core, src exec.Source[S], opts Options) *StreamEngine[S] {
-	width := opts.resolveWidth(c)
+	width := opts.width()
 	e := &StreamEngine[S]{
 		c:        c,
 		src:      src,
@@ -148,6 +148,7 @@ func NewStreamEngine[S any](c *memsim.Core, src exec.Source[S], opts Options) *S
 
 	e.stats.Width = width
 	e.stats.MinWidth, e.stats.MaxWidth = width, width
+	e.tr.SetWidth(width)
 
 	e.states, e.putStates = exec.GetStates[S](e.capW)
 	e.slotsP = getStreamSlots(e.capW)
@@ -174,9 +175,6 @@ func (e *StreamEngine[S]) Stats() RunStats { return e.stats }
 // Done reports whether the run has finished (source exhausted or stopped,
 // and every in-flight lookup retired).
 func (e *StreamEngine[S]) Done() bool { return e.done }
-
-// Live returns the number of in-flight requests.
-func (e *StreamEngine[S]) Live() int { return e.live }
 
 // applyWidth moves the admission bound to target, draining surplus slots.
 func (e *StreamEngine[S]) applyWidth(target int) {

@@ -76,6 +76,7 @@ func BaselineStream[S any](c *memsim.Core, src Source[S], tr *obs.CoreTrace) {
 	p.Push(p.Frame("Baseline"))
 	defer p.Pop()
 	admitF := p.Frame("admit")
+	tr.SetWidth(1)
 	left := Remaining(src)
 	st := src.Stager()
 	var pr PullResult
@@ -153,6 +154,7 @@ func GroupPrefetchStream[S any](c *memsim.Core, src Source[S], group int, tr *ob
 	if group < 1 {
 		group = 1
 	}
+	tr.SetWidth(group)
 	depth := src.ProvisionedStages()
 	if depth < 1 {
 		depth = 1
@@ -337,6 +339,7 @@ func SoftwarePipelineStream[S any](c *memsim.Core, src Source[S], inflight int, 
 	if inflight < 1 {
 		inflight = 1
 	}
+	tr.SetWidth(inflight)
 	depth := src.ProvisionedStages()
 	if depth < 1 {
 		depth = 1

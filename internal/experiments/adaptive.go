@@ -17,7 +17,7 @@ func init() {
 		ID:    "adaptN",
 		Title: "Adaptive execution: online technique selection and dynamic AMAC width versus every static configuration",
 		Run:   adaptN,
-		Uses:  UsesServing | UsesSinks,
+		Uses:  UsesServing | UsesWorkers | UsesSinks,
 	})
 }
 

@@ -27,12 +27,13 @@ import (
 //     builds it while the others wait, and after publication access is
 //     lock-free read-only.
 //   - Materialized arena-backed workloads are NOT shareable across
-//     goroutines, not even read-only: every arena access updates its
-//     last-touched-chunk memo, and output collectors accumulate into the
-//     arena image. They live in a workloadSet, of which each sweep worker
-//     owns one (see runSweep). Deterministic construction makes every
-//     worker's copy byte-identical in the simulated address space, which is
-//     why a parallel sweep reproduces the serial results bit for bit.
+//     goroutines: a measured run writes the arena image even when it
+//     treats its probed structure as read-only, because output collectors,
+//     pipes and latches live in the arena. They live in a workloadSet, of
+//     which each sweep worker owns one (see runSweep). Deterministic
+//     construction makes every worker's copy byte-identical in the
+//     simulated address space, which is why a parallel sweep reproduces the
+//     serial results bit for bit.
 //
 // Only workloads the measured phase treats as read-only are cached whole
 // (probe-only joins, BST search, pre-built skip list search, serving joins);
@@ -211,8 +212,9 @@ func cachedArrivalSchedule(process string, period float64, n int, seed uint64) [
 // workloadSet holds materialized arena-backed workloads. A workloadSet is
 // confined to one goroutine at a time — each parallel sweep worker owns a
 // private set (see runSweep), and the process-wide defaultWorkloads set
-// serves serial execution — because arenas are not safe for concurrent use,
-// not even read-only. The mutex only guards against accidental cross-test
+// serves serial execution — because every run writes its workload's arena
+// (output collectors, pipes and latches live there), and an arena written
+// by one goroutine cannot be used by another. The mutex only guards against accidental cross-test
 // overlap on the default set; it does not make concurrent simulation on one
 // set safe.
 type workloadSet struct {

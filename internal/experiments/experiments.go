@@ -55,7 +55,8 @@ type Config struct {
 	// Workers caps the worker sweep of the parallel scalability experiments
 	// (scaleN): zero keeps the default sweep {1, 2, 4, 8, 16}; a positive
 	// value sweeps the powers of two up to it, plus the value itself. The
-	// serving experiment (serveN) uses it as the worker count (zero = 1).
+	// serving experiments use it as the worker count (zero = 1 for serveN
+	// and adaptN, 4 for faultN).
 	Workers int
 	// Arrivals selects the serving experiments' traffic shape:
 	// "deterministic", "poisson" (the default for empty) or "bursty".
@@ -75,12 +76,6 @@ type Config struct {
 	// contain any of the comma-separated, case-insensitive tokens; empty
 	// runs every plan. Validate with ValidatePipePlans.
 	Plans string
-	// Burst overrides the pipeline experiment's pump lease size (admissions
-	// per upstream lease); zero keeps the pipeline default.
-	Burst int
-	// PipeCap overrides the pipeline experiment's inter-stage pipe capacity
-	// in rows (the backpressure bound); zero keeps the pipeline default.
-	PipeCap int
 	// Faults overrides the fault experiment's chaos schedule: a scripted
 	// episode list ("kind:shard@start+dur[xfactor]", comma-separated) or a
 	// seeded random request ("rand:SEED[:N]"); empty keeps faultN's default
@@ -238,14 +233,14 @@ type Descriptor struct {
 }
 
 // Uses is a set of the experiment-specific Config knobs and sinks an
-// experiment reads. The common knobs (scale, seed, window, workers,
-// parallel) have no bit.
+// experiment reads. The common knobs (scale, seed, window, parallel) have
+// no bit.
 type Uses uint8
 
 const (
 	// UsesServing: Arrivals and QueueCap shape the experiment's traffic.
 	UsesServing Uses = 1 << iota
-	// UsesPipeline: Plans, Burst and PipeCap shape its pipelines.
+	// UsesPipeline: Plans filters its pipelines.
 	UsesPipeline
 	// UsesFaults: Faults, Deadline and SLOBudget shape its chaos runs.
 	UsesFaults
@@ -255,13 +250,15 @@ const (
 	UsesMetrics
 	// UsesProfile: its designated cell attributes into Sinks.Profile.
 	UsesProfile
+	// UsesWorkers: Workers sets its worker sweep or worker count.
+	UsesWorkers
 )
 
 // UsesSinks is every sink bit.
 const UsesSinks = UsesTrace | UsesMetrics | UsesProfile
 
 // usesNames names the Uses bits in bit order.
-var usesNames = [...]string{"serving", "pipeline", "fault", "trace", "metrics", "profile"}
+var usesNames = [...]string{"serving", "pipeline", "fault", "trace", "metrics", "profile", "workers"}
 
 // String names the set's bits joined by "+", e.g. "trace+metrics".
 func (u Uses) String() string {

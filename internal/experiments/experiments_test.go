@@ -57,6 +57,23 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
+// FuzzParseScale: any name either fails to parse or is one of the three
+// scales, unchanged.
+func FuzzParseScale(f *testing.F) {
+	for _, seed := range []string{"tiny", "small", "paper", "", "Tiny", " small", "huge"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		sc, err := ParseScale(name)
+		if err != nil {
+			return
+		}
+		if string(sc) != name || (sc != Tiny && sc != Small && sc != Paper) {
+			t.Fatalf("ParseScale(%q) = %q", name, sc)
+		}
+	})
+}
+
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	if c.scale() != Small || c.seed() == 0 || c.window() != 10 {

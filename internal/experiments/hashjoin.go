@@ -19,7 +19,7 @@ func init() {
 	register(Descriptor{ID: "fig8", Title: "Probe throughput scalability on SPARC T4 (uniform and skewed keys)", Run: fig8})
 	register(Descriptor{ID: "table4", Title: "Probe scalability profiling on Xeon: IPC and L1-D MSHR hits per kilo-instruction", Run: table4})
 	register(Descriptor{ID: "fig12a", Title: "Hash join on SPARC T4: cycles per output tuple under skew", Run: fig12a})
-	register(Descriptor{ID: "scaleN", Title: "Sharded multi-core probe: aggregate throughput and speedup versus worker count (Xeon, partitioned join)", Run: scaleN})
+	register(Descriptor{ID: "scaleN", Title: "Sharded multi-core probe: aggregate throughput and speedup versus worker count (Xeon, partitioned join)", Run: scaleN, Uses: UsesWorkers})
 }
 
 // fig3SkewFactor is the Zipf factor of the motivation experiment's skewed

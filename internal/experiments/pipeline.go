@@ -35,12 +35,6 @@ type pipeSizes struct {
 	bst    int // BST size of the probe→filter plan
 	groups int // aggregation group count
 	sample int // mini-planner root sample size
-
-	// burst and pipeCap override the pipeline pump lease size and the
-	// inter-stage pipe capacity (zero keeps the pipeline defaults). They are
-	// CLI knobs (-burst/-pipecap), not scale-dependent.
-	burst   int
-	pipeCap int
 }
 
 // The pipeN plan names, hoisted so the -plans filter can be validated
@@ -98,7 +92,6 @@ func selectPipePlans(filter string) (map[string]bool, error) {
 type pipeKey struct {
 	kind                             string
 	rows, build, aux, groups, sample int
-	burst, pipeCap                   int
 	seed                             uint64
 	llc                              int
 }
@@ -180,19 +173,6 @@ func pipeCore(machine memsim.Config) *memsim.Core {
 func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Config) []pipePlan {
 	llc := machine.L3.SizeBytes
 
-	// newBuilder applies the CLI pump-geometry overrides; PipeCap must land
-	// before the first Build, so the override lives here at construction.
-	newBuilder := func(a *arena.Arena) *pipeline.Builder {
-		b := pipeline.NewBuilder(a)
-		if ps.burst > 0 {
-			b.Burst(ps.burst)
-		}
-		if ps.pipeCap > 0 {
-			b.PipeCap(ps.pipeCap)
-		}
-		return b
-	}
-
 	// Plan 1 — build→probe→aggregate: a charged hash build prelude, a scan
 	// probe over the built table (half-matching keys) and a group-by sink.
 	// The prelude mutates the table, so every cell materializes a fresh
@@ -210,7 +190,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 		agg := ht.NewAgg(a, ps.groups)
 		bin := ops.NewInput(a, aggBuild)
 		pin := ops.NewInput(a, aggProbe)
-		b := newBuilder(a)
+		b := pipeline.NewBuilder(a)
 		if prelude {
 			b.PreludeBuild(table, bin)
 		} else {
@@ -224,7 +204,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 		b.Aggregate(agg, pipeline.SelBuildPayload)
 		return b
 	}
-	aggKey := pipeKey{kind: "agg-twin", rows: ps.rows, build: ps.build, groups: ps.groups, sample: ps.sample, burst: ps.burst, pipeCap: ps.pipeCap, seed: seed, llc: llc}
+	aggKey := pipeKey{kind: "agg-twin", rows: ps.rows, build: ps.build, groups: ps.groups, sample: ps.sample, seed: seed, llc: llc}
 	aggTwin := func(e *sweepEnv) *pipeWorkload {
 		return e.wl.pipeWorkload(aggKey, func() *pipeWorkload {
 			b := freshAgg(false)
@@ -241,7 +221,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 	bstProbe := pipeRel("S", ps.rows,
 		func(i int) uint64 { return (uint64(i)*2654435761+seed)%uint64(ps.build) + 1 },
 		func(i int) uint64 { return uint64(i) })
-	bstKey := pipeKey{kind: "bst", rows: ps.rows, build: ps.build, aux: ps.bst, sample: ps.sample, burst: ps.burst, pipeCap: ps.pipeCap, seed: seed, llc: llc}
+	bstKey := pipeKey{kind: "bst", rows: ps.rows, build: ps.build, aux: ps.bst, sample: ps.sample, seed: seed, llc: llc}
 	bstWL := func(e *sweepEnv) *pipeWorkload {
 		return e.wl.pipeWorkload(bstKey, func() *pipeWorkload {
 			a := arena.New()
@@ -258,7 +238,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 			}
 			pin := ops.NewInput(a, bstProbe)
 			out := ops.NewOutput(a, false)
-			b := newBuilder(a)
+			b := pipeline.NewBuilder(a)
 			b.ScanProbe(table, pin, true)
 			b.BSTFilter(tree, pipeline.SelBuildPayload)
 			return &pipeWorkload{b: b, out: out, rows: bstProbe.Len(), choice: b.Plan(machine, ps.sample, adapt.Config{})}
@@ -278,7 +258,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 	chainProbe := pipeRel("S", ps.rows,
 		func(i int) uint64 { return (uint64(i)*2654435761+seed)%n + 1 },
 		func(i int) uint64 { return (uint64(i)*2246822519+seed)%n + 1 })
-	chainKey := pipeKey{kind: "chain", rows: ps.rows, build: ps.build, aux: ps.dim, sample: ps.sample, burst: ps.burst, pipeCap: ps.pipeCap, seed: seed, llc: llc}
+	chainKey := pipeKey{kind: "chain", rows: ps.rows, build: ps.build, aux: ps.dim, sample: ps.sample, seed: seed, llc: llc}
 	chainWL := func(e *sweepEnv) *pipeWorkload {
 		return e.wl.pipeWorkload(chainKey, func() *pipeWorkload {
 			a := arena.New()
@@ -294,7 +274,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 			t3 := mk(ps.build, func(k uint64) uint64 { return k * 1000 })
 			pin := ops.NewInput(a, chainProbe)
 			out := ops.NewOutput(a, false)
-			b := newBuilder(a)
+			b := pipeline.NewBuilder(a)
 			b.ScanProbe(t1, pin, true)
 			b.Probe(t2, pipeline.SelBuildPayload, true)
 			b.Probe(t3, pipeline.SelProbePayload, true)
@@ -461,8 +441,7 @@ var pipeServeLoads = []float64{0.6, 0.9}
 // workers bit-identically.
 func pipeN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
-	ps := pipeSizes{rows: sz.pipeRows, build: sz.pipeBuild, dim: sz.pipeDim, bst: sz.pipeBST, groups: sz.pipeGroups, sample: sz.pipeSample,
-		burst: cfg.Burst, pipeCap: cfg.PipeCap}
+	ps := pipeSizes{rows: sz.pipeRows, build: sz.pipeBuild, dim: sz.pipeDim, bst: sz.pipeBST, groups: sz.pipeGroups, sample: sz.pipeSample}
 	machine := memsim.XeonX5670()
 	plans := pipePlans(machine, ps, cfg.seed(), adaptConfig(sz))
 	// The -plans filter was validated at the CLI boundary; an invalid filter
@@ -563,9 +542,6 @@ func pipeN(cfg Config) []*table.Table {
 		planTab.Set(p.name, "best uniform ÷ planner", bestUniform/planner[pi])
 	}
 
-	if ps.burst > 0 || ps.pipeCap > 0 {
-		main.AddNote("pump geometry overridden: -burst %d, -pipecap %d (zero = pipeline default)", ps.burst, ps.pipeCap)
-	}
 	tables := []*table.Table{main, planTab}
 	if st := pipeServeTable(cfg, machine, plans); st != nil {
 		tables = append(tables, st)

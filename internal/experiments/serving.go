@@ -17,7 +17,7 @@ func init() {
 		ID:    "serveN",
 		Title: "Streaming request service: arrival-rate sweep, throughput and tail latency per technique (Xeon)",
 		Run:   serveN,
-		Uses:  UsesServing | UsesSinks,
+		Uses:  UsesServing | UsesWorkers | UsesSinks,
 	})
 }
 

@@ -17,7 +17,7 @@ func init() {
 		ID:    "faultN",
 		Title: "Fault injection: graceful degradation of the streaming service under shard faults (Xeon, AMAC)",
 		Run:   faultN,
-		Uses:  UsesServing | UsesFaults | UsesSinks,
+		Uses:  UsesServing | UsesFaults | UsesWorkers | UsesSinks,
 	})
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"amac/internal/table"
@@ -106,5 +108,29 @@ func TestServeNDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestServeNWidthGauge: the metrics width gauge reports the engine's
+// configured width on a static engine, which never resizes. serveN's
+// designated cell is static AMAC at the default width of 10, so every
+// sample of a metrics-only run must read 10.
+func TestServeNWidthGauge(t *testing.T) {
+	r := runWithSinks(t, "serveN", 1, UsesMetrics)
+	var n int
+	for _, line := range strings.Split(strings.TrimSpace(r.exports["jsonl"]), "\n") {
+		var rec struct {
+			Values map[string]float64 `json:"values"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		if w, ok := rec.Values["width"]; !ok || w != 10 {
+			t.Fatalf("width sample = %v (present %v), want 10: %s", w, ok, line)
+		}
+		n++
+	}
+	if n == 0 {
+		t.Fatal("no metrics samples")
 	}
 }

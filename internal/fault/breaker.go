@@ -41,12 +41,6 @@ type BreakerConfig struct {
 	// Alpha is the EWMA weight of each observation round's timeout fraction.
 	// Default 0.3.
 	Alpha float64
-	// OpenAbove is the EWMA timeout fraction above which a closed (or
-	// half-open) breaker opens. Default 0.5.
-	OpenAbove float64
-	// CloseBelow is the fraction at or below which a half-open breaker
-	// closes. Default 0.1.
-	CloseBelow float64
 	// Cooldown is how long an open breaker waits before probing, in cycles.
 	// Default 1<<16.
 	Cooldown uint64
@@ -58,16 +52,17 @@ type BreakerConfig struct {
 	MinSamples int
 }
 
+// A closed or half-open breaker opens when its EWMA timeout fraction rises
+// above openAbove; a half-open one closes at or below closeBelow.
+const (
+	openAbove  = 0.5
+	closeBelow = 0.1
+)
+
 // withDefaults fills zero fields.
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Alpha == 0 {
 		c.Alpha = 0.3
-	}
-	if c.OpenAbove == 0 {
-		c.OpenAbove = 0.5
-	}
-	if c.CloseBelow == 0 {
-		c.CloseBelow = 0.1
 	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 1 << 16
@@ -106,9 +101,6 @@ func NewBreaker(shard int, cfg BreakerConfig) *Breaker {
 // State returns the breaker's position.
 func (b *Breaker) State() State { return b.state }
 
-// Health returns the EWMA timeout fraction (0 = healthy).
-func (b *Breaker) Health() float64 { return b.ewma }
-
 // Transitions returns every state change so far, in order.
 func (b *Breaker) Transitions() []Transition { return b.trans }
 
@@ -146,13 +138,13 @@ func (b *Breaker) Observe(now uint64, completed, timedOut int) State {
 	b.samples += n
 	switch b.state {
 	case StateClosed:
-		if b.samples >= b.cfg.MinSamples && b.ewma > b.cfg.OpenAbove {
+		if b.samples >= b.cfg.MinSamples && b.ewma > openAbove {
 			b.transitionTo(now, StateOpen)
 		}
 	case StateHalfOpen:
-		if b.ewma > b.cfg.OpenAbove {
+		if b.ewma > openAbove {
 			b.transitionTo(now, StateOpen)
-		} else if b.ewma <= b.cfg.CloseBelow {
+		} else if b.ewma <= closeBelow {
 			b.transitionTo(now, StateClosed)
 		}
 	}
@@ -181,21 +173,19 @@ type SLO struct {
 	// Classes partitions requests into priority classes (request index mod
 	// Classes; class 0 is the most important and never shed). Default 4.
 	Classes int
-	// Margin is the budget fraction the p99 must fall below before a shed
-	// class is restored — hysteresis against flapping. Default 0.7.
-	Margin float64
 	// HoldRounds is how many consecutive in-budget observation rounds must
 	// pass before restoring a class. Default 4.
 	HoldRounds int
 }
 
+// restoreMargin is the budget fraction the p99 must fall below before a shed
+// class is restored — hysteresis against flapping.
+const restoreMargin = 0.7
+
 // withDefaults fills zero fields.
 func (s SLO) withDefaults() SLO {
 	if s.Classes == 0 {
 		s.Classes = 4
-	}
-	if s.Margin == 0 {
-		s.Margin = 0.7
 	}
 	if s.HoldRounds == 0 {
 		s.HoldRounds = 4
@@ -236,7 +226,7 @@ func (b *Brownout) Observe(p99 uint64) (level int, changed bool) {
 			}
 			return b.level, true
 		}
-	case float64(p99) <= float64(b.slo.P99Budget)*b.slo.Margin:
+	case float64(p99) <= float64(b.slo.P99Budget)*restoreMargin:
 		b.okRounds++
 		if b.okRounds >= b.slo.HoldRounds && b.level > 0 {
 			b.level--

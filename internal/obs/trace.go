@@ -141,8 +141,8 @@ func (c *CoreTrace) Events() []Event {
 	return out
 }
 
-// Width returns the engine width most recently recorded via WidthChange or
-// EngineSample; the serving metrics layer reads it as a gauge.
+// Width returns the engine width most recently recorded via SetWidth,
+// WidthChange or EngineSample; the metrics layer reads it as a gauge.
 func (c *CoreTrace) Width() int {
 	if c == nil {
 		return 0
@@ -220,6 +220,17 @@ func (c *CoreTrace) EngineSample(cycle uint64, width, mshr int) {
 	}
 	c.width = width
 	c.push(Event{Cycle: cycle, Kind: KindEngineSample, A: int64(width), B: int64(mshr)})
+}
+
+// SetWidth records the in-flight width an engine starts with: 1 for the
+// baseline, the group size for GP, the pipeline occupancy for SPP and the
+// starting slot window for AMAC. It records no event; a resize is
+// WidthChange.
+func (c *CoreTrace) SetWidth(width int) {
+	if c == nil {
+		return
+	}
+	c.width = width
 }
 
 // WidthChange records the engine applying a slot-window resize.

@@ -312,6 +312,20 @@ func TestSkipListInsertDuplicatesSkipped(t *testing.T) {
 	}
 }
 
+// FuzzParseTechnique: any label either fails to parse or names a technique
+// whose String is that label.
+func FuzzParseTechnique(f *testing.F) {
+	for _, seed := range []string{"Baseline", "GP", "SPP", "AMAC", "amac", "", " GP", "Technique(4)", "nope"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, label string) {
+		tech, err := ops.ParseTechnique(label)
+		if err == nil && tech.String() != label {
+			t.Fatalf("ParseTechnique(%q) = %v, which renders as %q", label, tech, tech.String())
+		}
+	})
+}
+
 func TestTechniqueStringAndParse(t *testing.T) {
 	for _, tech := range ops.Techniques {
 		parsed, err := ops.ParseTechnique(tech.String())

@@ -63,16 +63,6 @@ type Params struct {
 	// Window is the number of in-flight lookups; zero selects the default
 	// of 10, the best-performing setting on the paper's Xeon.
 	Window int
-	// Controller, if non-nil, lets an adaptive width controller resize the
-	// AMAC slot window mid-run (see core.Options.Controller); only AMAC can
-	// act on it — GP and SPP bake their group size and pipeline depth into
-	// their control flow, so they ignore it, which is the paper's
-	// flexibility argument in one field.
-	Controller exec.WidthController
-	// MaxWidth and ProbeInterval forward to core.Options when a Controller
-	// is attached (zero keeps the core defaults).
-	MaxWidth      int
-	ProbeInterval int
 }
 
 // DefaultWindow is used when Params.Window is zero.
@@ -88,10 +78,7 @@ func (p Params) window() int {
 // Options converts the parameters to engine options: Window is GP's group
 // size, SPP's pipeline occupancy and AMAC's starting width.
 func (p Params) Options() core.Options {
-	return core.Options{
-		Width: p.window(), Controller: p.Controller,
-		MaxWidth: p.MaxWidth, ProbeInterval: p.ProbeInterval,
-	}
+	return core.Options{Width: p.window()}
 }
 
 // RunMachine executes every lookup of machine m on core c using the given

@@ -287,7 +287,7 @@ func (b *Builder) build(spec buildSpec) *Pipeline {
 	for _, pr := range b.preludes {
 		t, in := pr.table, pr.in
 		p.prelude = append(p.prelude, func(c *memsim.Core) {
-			core.Run(c, &ops.BuildMachine{Table: t, In: in}, core.Options{SeedWidthFromMSHRs: true})
+			core.Run(c, &ops.BuildMachine{Table: t, In: in}, core.Options{Width: c.MSHRBudget()})
 		})
 	}
 

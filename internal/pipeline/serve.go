@@ -37,10 +37,10 @@ type ServingSpec struct {
 // ServeParallel runs one pre-built serving pipeline per worker, each on a
 // private core of the shared-LLC socket model, concurrently on real
 // goroutines — the pipeline analogue of serve.Run. Each worker's pipeline
-// must live entirely in its OWN arena, probed structures included: an Arena
-// is unsafe for concurrent use even read-only (every access updates its
-// last-touched-chunk cache), so the supported sharing model is a private
-// copy per worker, exactly as ops.PartitionJoin does for the single-operator
+// must live entirely in its OWN arena, probed structures included: a run
+// writes its arena image (output collectors, pipes and latches live there),
+// and arena writes need exclusive access, so the supported sharing model is
+// a private copy per worker, exactly as ops.PartitionJoin does for the single-operator
 // layer. That isolation is also what makes the merged result deterministic
 // regardless of the goroutine schedule.
 //
