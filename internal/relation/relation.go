@@ -17,6 +17,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 
 	"amac/internal/xrand"
 )
@@ -98,10 +99,10 @@ func (s JoinSpec) Validate() error {
 	if s.BuildSize <= 0 || s.ProbeSize <= 0 {
 		return fmt.Errorf("relation: join spec needs positive sizes, got |R|=%d |S|=%d", s.BuildSize, s.ProbeSize)
 	}
-	if s.ZipfBuild < 0 || s.ZipfProbe < 0 {
-		return fmt.Errorf("relation: negative Zipf factors")
+	if err := checkZipf(s.ZipfBuild); err != nil {
+		return err
 	}
-	return nil
+	return checkZipf(s.ZipfProbe)
 }
 
 // String renders the spec in the paper's notation.
@@ -187,8 +188,14 @@ func (s GroupBySpec) Validate() error {
 	if s.Repeats <= 0 {
 		return fmt.Errorf("relation: group-by spec needs positive repeats")
 	}
-	if s.Zipf < 0 {
-		return fmt.Errorf("relation: negative Zipf factor")
+	return checkZipf(s.Zipf)
+}
+
+// checkZipf rejects a Zipf exponent the sampler cannot draw from: a
+// negative one, NaN or an infinity.
+func checkZipf(theta float64) error {
+	if theta < 0 || math.IsNaN(theta) || math.IsInf(theta, 0) {
+		return fmt.Errorf("relation: invalid Zipf factor %v", theta)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,12 @@ func TestBuildJoinRejectsBadSpecs(t *testing.T) {
 		{BuildSize: 0, ProbeSize: 10},
 		{BuildSize: 10, ProbeSize: 0},
 		{BuildSize: 10, ProbeSize: 10, ZipfBuild: -1},
+		{BuildSize: 10, ProbeSize: 10, ZipfProbe: -1},
+		{BuildSize: 10, ProbeSize: 10, ZipfBuild: math.NaN()},
+		{BuildSize: 10, ProbeSize: 10, ZipfProbe: math.NaN()},
+		{BuildSize: 10, ProbeSize: 10, ZipfBuild: math.Inf(1)},
+		{BuildSize: 10, ProbeSize: 10, ZipfProbe: math.Inf(1)},
+		{BuildSize: 10, ProbeSize: 10, ZipfBuild: math.Inf(-1)},
 	}
 	for _, spec := range bad {
 		if _, _, err := BuildJoin(spec); err == nil {
@@ -172,6 +179,9 @@ func TestBuildGroupByRejectsBadSpecs(t *testing.T) {
 		{Size: 0, Repeats: 3},
 		{Size: 10, Repeats: 0},
 		{Size: 10, Repeats: 3, Zipf: -0.5},
+		{Size: 10, Repeats: 3, Zipf: math.NaN()},
+		{Size: 10, Repeats: 3, Zipf: math.Inf(1)},
+		{Size: 10, Repeats: 3, Zipf: math.Inf(-1)},
 	}
 	for _, spec := range bad {
 		if _, err := BuildGroupBy(spec); err == nil {

@@ -2,7 +2,9 @@
 // the workload generators: a seedable 64-bit PRNG, Fisher-Yates
 // permutations, and a Zipf sampler that supports the skew factors used in
 // the AMAC paper (0.5, 0.75 and 1.0), which the standard library's
-// rand.Zipf cannot generate (it requires s > 1).
+// rand.Zipf cannot generate (it requires s > 1). The sampler inverts an
+// exact CDF, searching only the few entries a guide table brackets, and
+// consumes one Uint64 per draw; every skewed workload is generated from it.
 //
 // Everything here is deterministic given the seed, so every experiment and
 // test in the repository is exactly reproducible.
