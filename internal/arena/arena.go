@@ -11,10 +11,13 @@
 // the Go garbage collector from the measured path.
 //
 // Every typed accessor funnels through slice, which runs once per simulated
-// field access — it is on the simulator's hot path. Chunk sizes are therefore
-// required to be powers of two so chunk/offset splits are a shift and a mask,
-// and the panic messages (which call fmt) live in separate noinline slow
-// paths so the bounds checks stay branch-plus-nothing in the common case.
+// field access — it is on the simulator's hot path, so it is kept small
+// enough for the Go compiler to inline into every caller. Chunk sizes are
+// powers of two, so the chunk/offset split is a shift and a mask, and the
+// checks are one range test per bound. An invalid access panics with an
+// accessError that records the access and formats its message only when
+// Error is called, so no formatting code sits in the inlined body. CI fails
+// if slice stops being inlinable.
 //
 // Prefetch is a host hint only. The stage machines call it on the address
 // they hand the simulated core as the next prefetch, so the host pulls the
@@ -160,14 +163,17 @@ func (a *Arena) Allocations() uint64 { return a.allocs }
 func (a *Arena) Wasted() uint64 { return a.wasted }
 
 // slice returns the backing bytes for [addr, addr+size), which must lie
-// within one chunk and within allocated space.
+// within one chunk and within allocated space. For size >= 1, the first test
+// is off+size <= chunkBytes, so end cannot wrap past 2^64 and end-1 is the
+// last byte accessed; size <= 0 fails it, since uint64(size)-1 is then at
+// least 2^63.
 func (a *Arena) slice(addr Addr, size int) []byte {
-	pos := uint64(addr)
+	pos, n := uint64(addr), uint64(size)
 	off := pos & a.chunkMask
-	if pos == 0 || size <= 0 || pos+uint64(size) > a.top || off+uint64(size) > a.chunkBytes {
-		a.accessPanic(addr, size)
+	if n-1 >= a.chunkBytes-off || pos == 0 || pos+n-1 >= a.top {
+		panic(accessError{pos: pos, size: size, top: a.top})
 	}
-	return a.chunks[pos>>a.chunkShift][off : off+uint64(size)]
+	return a.chunks[pos>>a.chunkShift][off : off+n]
 }
 
 // Prefetch hints to the host CPU that the bytes at addr are about to be read.
@@ -182,20 +188,23 @@ func (a *Arena) Prefetch(addr Addr) {
 	prefetchLine(unsafe.Pointer(&a.chunks[pos>>a.chunkShift][pos&a.chunkMask]))
 }
 
-// accessPanic reports an invalid access; it is kept out of slice so the fast
-// path never materializes a format call.
-//
-//go:noinline
-func (a *Arena) accessPanic(addr Addr, size int) {
-	pos := uint64(addr)
-	end := pos + uint64(size)
+// accessError is the panic value of an invalid access. It holds the access
+// and the watermark at the time, and builds its message only in Error.
+type accessError struct {
+	pos  uint64
+	size int
+	top  uint64
+}
+
+func (e accessError) Error() string {
+	end := e.pos + uint64(e.size)
 	switch {
-	case size <= 0 || pos == 0:
-		panic(fmt.Sprintf("arena: invalid access addr=%d size=%d", addr, size))
-	case end > a.top:
-		panic(fmt.Sprintf("arena: access [%d,%d) beyond allocated space %d", pos, end, a.top))
+	case e.size <= 0 || e.pos == 0 || end < e.pos:
+		return fmt.Sprintf("arena: invalid access addr=%d size=%d", e.pos, e.size)
+	case end > e.top:
+		return fmt.Sprintf("arena: access [%d,%d) beyond allocated space %d", e.pos, end, e.top)
 	default:
-		panic(fmt.Sprintf("arena: access [%d,%d) crosses a chunk boundary", pos, end))
+		return fmt.Sprintf("arena: access [%d,%d) crosses a chunk boundary", e.pos, end)
 	}
 }
 
@@ -244,6 +253,14 @@ func (a *Arena) WriteAddr(addr Addr, v Addr) { a.WriteU64(addr, uint64(v)) }
 // packages use it to decode several fields from one bounds check.
 func (a *Arena) Bytes(addr Addr, size int) []byte {
 	return a.slice(addr, size)
+}
+
+// BytesInChunk is Bytes for the longest prefix of [addr, addr+size) that
+// lies in addr's chunk: it returns size bytes, or fewer if the chunk ends
+// first. A loop over a span larger than a chunk (AllocSpan) takes one view
+// per chunk with it, instead of one Bytes call per element.
+func (a *Arena) BytesInChunk(addr Addr, size uint64) []byte {
+	return a.slice(addr, int(min(size, a.chunkBytes-uint64(addr)&a.chunkMask)))
 }
 
 // ReadBytes copies size bytes starting at addr into a new slice. Prefer

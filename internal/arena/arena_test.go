@@ -2,6 +2,8 @@ package arena
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -125,27 +127,87 @@ func TestWritesToDifferentAllocationsAreIndependent(t *testing.T) {
 	}
 }
 
+// TestInvalidAccessesPanic pins each invalid call's panic message, and that
+// every one starts with "arena:". The accesses around the watermark and the
+// chunk edges sit next to a valid access, which must not panic.
 func TestInvalidAccessesPanic(t *testing.T) {
+	const chunk = 4096
 	cases := []struct {
 		name string
 		f    func(a *Arena)
+		want string // message substring; "" means the call is valid
 	}{
-		{"zero size alloc", func(a *Arena) { a.Alloc(0, 8) }},
-		{"bad alignment", func(a *Arena) { a.Alloc(8, 3) }},
-		{"oversized alloc", func(a *Arena) { a.Alloc(int(DefaultChunkBytes)+1, 8) }},
-		{"nil address read", func(a *Arena) { a.ReadU64(0) }},
-		{"out of bounds read", func(a *Arena) { a.ReadU64(1 << 40) }},
-		{"read past allocation", func(a *Arena) { addr := a.Alloc(8, 8); a.ReadBytes(addr, 1<<16) }},
+		{"zero size alloc", func(a *Arena) { a.Alloc(0, 8) }, "allocation size must be positive"},
+		{"bad alignment", func(a *Arena) { a.Alloc(8, 3) }, "alignment 3 must be a power of two"},
+		{"oversized alloc", func(a *Arena) { a.Alloc(int(DefaultChunkBytes)+1, 8) }, "exceeds chunk size"},
+		{"nil address read", func(a *Arena) { a.ReadU64(0) }, "invalid access addr=0 size=8"},
+		{"out of bounds read", func(a *Arena) { a.ReadU64(1 << 40) }, "beyond allocated space"},
+		{"read past allocation", func(a *Arena) { addr := a.Alloc(8, 8); a.ReadBytes(addr, 1<<16) }, "beyond allocated space"},
+		{"zero size access", func(a *Arena) { a.Bytes(a.Alloc(8, 8), 0) }, "invalid access"},
+		{"negative size access", func(a *Arena) { a.Bytes(a.Alloc(8, 8), -8) }, "invalid access"},
+		{"access ending at the top", func(a *Arena) { a.Alloc(24, 8); a.Bytes(Addr(a.Size()-16), 16) }, ""},
+		{"access one byte past the top", func(a *Arena) { a.Alloc(24, 8); a.Bytes(Addr(a.Size()-16), 17) }, "beyond allocated space"},
+		{"access ending at a chunk edge", func(*Arena) {
+			a := NewWithChunkSize(chunk)
+			a.AllocSpan(2 * chunk)
+			a.Bytes(chunk-16, 16)
+		}, ""},
+		{"access crossing a chunk edge", func(*Arena) {
+			a := NewWithChunkSize(chunk)
+			a.AllocSpan(2 * chunk)
+			a.Bytes(chunk-8, 16)
+		}, "crosses a chunk boundary"},
+		{"access wrapping past 2^64", func(a *Arena) { a.Alloc(8, 8); a.Bytes(^Addr(0)-3, 8) }, "invalid access"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", tc.name)
+				r := recover()
+				switch {
+				case tc.want == "" && r != nil:
+					t.Fatalf("valid call panicked: %v", r)
+				case tc.want == "":
+				case r == nil:
+					t.Fatal("expected panic")
+				default:
+					msg := fmt.Sprint(r)
+					if !strings.HasPrefix(msg, "arena: ") || !strings.Contains(msg, tc.want) {
+						t.Fatalf("panic %q, want an arena: message containing %q", msg, tc.want)
+					}
 				}
 			}()
 			tc.f(New())
 		})
+	}
+}
+
+// TestBytesInChunkStopsAtTheChunkEdge checks that BytesInChunk returns the
+// whole request inside a chunk and stops at the chunk's end otherwise.
+func TestBytesInChunkStopsAtTheChunkEdge(t *testing.T) {
+	const chunk = 4096
+	a := NewWithChunkSize(chunk)
+	base := a.AllocSpan(3 * chunk) // starts on a chunk edge
+	if base%chunk != 0 {
+		t.Fatalf("span at %d does not start on a chunk edge", base)
+	}
+	for _, tc := range []struct {
+		addr Addr
+		size uint64
+		want int
+	}{
+		{base, 16, 16},
+		{base, 3 * chunk, chunk},
+		{base + chunk - 16, 64, 16},
+		{base + 2*chunk + 64, chunk, chunk - 64},
+	} {
+		b := a.BytesInChunk(tc.addr, tc.size)
+		if len(b) != tc.want {
+			t.Fatalf("BytesInChunk(%d, %d) returned %d bytes, want %d", tc.addr, tc.size, len(b), tc.want)
+		}
+		b[0] = 0xab
+		if a.ReadU8(tc.addr) != 0xab {
+			t.Fatalf("BytesInChunk(%d, %d) does not alias the arena", tc.addr, tc.size)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 
 	"amac/internal/arena"
 	"amac/internal/memsim"
+	"amac/internal/relation"
 )
 
 // Layout of a join-table node (one 64-byte cache line):
@@ -232,7 +233,12 @@ func (t *Table) AppendTuple(n arena.Addr, key, payload uint64) bool {
 // two node visits regardless of chain length, which is why the paper's build
 // phase is insensitive to key skew (Section 5.1).
 func (t *Table) InsertRaw(key, payload uint64) {
-	header := t.Node(t.BucketAddr(t.Hash(key)))
+	t.insertAt(t.BucketAddr(t.Hash(key)), key, payload)
+}
+
+// insertAt applies InsertRaw's rule to the bucket whose header is at bucket.
+func (t *Table) insertAt(bucket arena.Addr, key, payload uint64) {
+	header := t.Node(bucket)
 	if header.appendTuple(key, payload) {
 		return
 	}
@@ -245,6 +251,56 @@ func (t *Table) InsertRaw(key, payload uint64) {
 	nv.setNext(next)
 	header.setNext(node)
 	nv.appendTuple(key, payload)
+}
+
+// prebuildAhead is how many tuples ahead of its insert InsertTuplesRaw
+// prefetches a bucket header. It is a power of two, so the look-ahead ring
+// indexes with a mask.
+const prebuildAhead = 16
+
+// pendingInsert is a tuple InsertTuplesRaw has read and hashed but not yet
+// inserted.
+type pendingInsert struct {
+	key, payload uint64
+	bucket       arena.Addr
+}
+
+// InsertTuplesRaw inserts the n tuples stored from base — 16-byte
+// little-endian (key, payload) pairs, relation.TupleBytes apart, as
+// ops.Input lays them out — without charging simulator time. The table ends
+// up byte for byte as an InsertRaw loop over the tuples in order would leave
+// it: the inserts run in span order through InsertRaw's rule, so overflow
+// nodes are allocated in the same order at the same addresses. base must be
+// a multiple of relation.TupleBytes (an Input's base is line-aligned), so no
+// tuple straddles an arena chunk edge.
+//
+// It reads the span one arena chunk at a time and hashes each tuple once.
+// A tuple is hashed prebuildAhead places before its insert, and its bucket
+// header is prefetched then, so the header misses of successive inserts
+// overlap. The prefetch is a host hint only (arena.Arena.Prefetch): it
+// writes nothing and has no simulated effect.
+func (t *Table) InsertTuplesRaw(base arena.Addr, n int) {
+	var ring [prebuildAhead]pendingInsert
+	addr, i := base, 0
+	for i < n {
+		b := t.a.BytesInChunk(addr, uint64(n-i)*relation.TupleBytes)
+		addr += arena.Addr(len(b))
+		for ; len(b) >= relation.TupleBytes; b = b[relation.TupleBytes:] {
+			key := binary.LittleEndian.Uint64(b)
+			bucket := t.BucketAddr(t.Hash(key))
+			t.a.Prefetch(bucket)
+			p := &ring[i&(prebuildAhead-1)]
+			if i >= prebuildAhead {
+				t.insertAt(p.bucket, p.key, p.payload)
+			}
+			*p = pendingInsert{key, binary.LittleEndian.Uint64(b[8:]), bucket}
+			i++
+		}
+	}
+	for j := max(n-prebuildAhead, 0); j < n; j++ {
+		p := &ring[j&(prebuildAhead-1)]
+		t.insertAt(p.bucket, p.key, p.payload)
+	}
 }
 
 // LookupAllRaw returns the payloads of every tuple whose key matches,

@@ -1,6 +1,7 @@
 package ht
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -198,5 +199,54 @@ func TestMinimumBucketCount(t *testing.T) {
 	}
 	if tab.SizeBytes() == 0 || tab.BaseAddr() == 0 {
 		t.Fatal("size/base accessors broken")
+	}
+}
+
+// spanOf writes keys (payload i+1 for key i) into a fresh span of a, as
+// ops.NewInput lays out a relation, and returns the span's base.
+func spanOf(a *arena.Arena, keys []uint64) arena.Addr {
+	base := a.AllocSpan(uint64(max(len(keys), 1)) * relation.TupleBytes)
+	for i, k := range keys {
+		addr := base + arena.Addr(i*relation.TupleBytes)
+		a.WriteU64(addr, k)
+		a.WriteU64(addr+8, uint64(i)+1)
+	}
+	return base
+}
+
+// allBytes returns every byte a has handed out.
+func allBytes(a *arena.Arena) []byte {
+	var out []byte
+	for addr := uint64(NodeBytes); addr < a.Size(); addr += NodeBytes {
+		out = append(out, a.Bytes(arena.Addr(addr), int(min(NodeBytes, a.Size()-addr)))...)
+	}
+	return out
+}
+
+// TestInsertTuplesRawMatchesInsertRaw checks InsertTuplesRaw against an
+// InsertRaw loop at the edges of its look-ahead ring (fewer tuples than the
+// ring, exactly as many, one more) and with small chunks, so the span and
+// the overflow nodes cross many chunk edges.
+func TestInsertTuplesRawMatchesInsertRaw(t *testing.T) {
+	for _, n := range []int{0, 1, prebuildAhead - 1, prebuildAhead, prebuildAhead + 1, 3*prebuildAhead + 5, 1000} {
+		for _, chunk := range []int{128, 4096, arena.DefaultChunkBytes} {
+			for _, buckets := range []int{1, 3, 64} {
+				keys := make([]uint64, n)
+				for i := range keys {
+					keys[i] = uint64(i*i%11) + 1
+				}
+				a, b := arena.NewWithChunkSize(chunk), arena.NewWithChunkSize(chunk)
+				got, want := New(a, buckets), New(b, buckets)
+				base := spanOf(a, keys)
+				spanOf(b, keys)
+				got.InsertTuplesRaw(base, n)
+				for i, k := range keys {
+					want.InsertRaw(k, uint64(i)+1)
+				}
+				if a.Size() != b.Size() || got.OverflowNodes() != want.OverflowNodes() || !bytes.Equal(allBytes(a), allBytes(b)) {
+					t.Fatalf("n=%d chunk=%d buckets=%d: InsertTuplesRaw's arena differs from the InsertRaw loop's", n, chunk, buckets)
+				}
+			}
+		}
 	}
 }

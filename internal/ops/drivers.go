@@ -52,27 +52,13 @@ func NewHashJoinInArena(a *arena.Arena, build, probe *relation.Relation, buckets
 	}
 }
 
-// prebuildAhead is how many build tuples ahead of its insert PrebuildRaw
-// prefetches a bucket header.
-const prebuildAhead = 16
-
 // PrebuildRaw populates the hash table without charging simulator time, for
 // probe-only experiments. It inserts in build order, as a measured build
-// phase would, and hints the host to fetch the bucket header of the tuple
-// prebuildAhead places ahead, so the header misses of successive inserts
-// overlap. The hint is host-only (arena.Arena.Prefetch): it writes nothing,
-// so the table's bytes and overflow-node addresses are those of a plain
-// InsertRaw loop.
+// phase would, in one pass over the materialized build relation
+// (ht.Table.InsertTuplesRaw): the table's bytes and overflow-node addresses
+// are those of a plain InsertRaw loop.
 func (j *HashJoin) PrebuildRaw() {
-	n := j.Build.Len()
-	for i := 0; i < n; i++ {
-		if i+prebuildAhead < n {
-			key, _ := j.Build.ReadRaw(i + prebuildAhead)
-			j.Table.Prefetch(j.Table.BucketAddr(j.Table.Hash(key)))
-		}
-		key, payload := j.Build.ReadRaw(i)
-		j.Table.InsertRaw(key, payload)
-	}
+	j.Table.InsertTuplesRaw(j.Build.Base(), j.Build.Len())
 }
 
 // BuildMachine returns a fresh build-phase machine.

@@ -18,7 +18,9 @@ type Input struct {
 	n    int
 }
 
-// NewInput copies rel into the arena.
+// NewInput copies rel into the arena, in order, one arena chunk at a time:
+// tuple i lands at TupleAddr(i) as a little-endian key followed by a
+// little-endian payload, exactly as a per-tuple write would place it.
 func NewInput(a *arena.Arena, rel *relation.Relation) *Input {
 	in := &Input{a: a, n: rel.Len()}
 	if in.n == 0 {
@@ -26,10 +28,15 @@ func NewInput(a *arena.Arena, rel *relation.Relation) *Input {
 		return in
 	}
 	in.base = a.AllocSpan(uint64(in.n) * relation.TupleBytes)
-	for i, tup := range rel.Tuples {
-		b := a.Bytes(in.TupleAddr(i), relation.TupleBytes)
-		binary.LittleEndian.PutUint64(b, tup.Key)
-		binary.LittleEndian.PutUint64(b[8:], tup.Payload)
+	addr, tuples := in.base, rel.Tuples
+	for len(tuples) > 0 {
+		b := a.BytesInChunk(addr, uint64(len(tuples))*relation.TupleBytes)
+		addr += arena.Addr(len(b))
+		for ; len(b) >= relation.TupleBytes; b = b[relation.TupleBytes:] {
+			binary.LittleEndian.PutUint64(b, tuples[0].Key)
+			binary.LittleEndian.PutUint64(b[8:], tuples[0].Payload)
+			tuples = tuples[1:]
+		}
 	}
 	return in
 }

@@ -2,10 +2,13 @@ package ops
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"amac/internal/arena"
+	"amac/internal/ht"
 	"amac/internal/memsim"
 	"amac/internal/relation"
 )
@@ -20,12 +23,27 @@ func arenaBytes(a *arena.Arena) []byte {
 	return out
 }
 
-// insertLoop is PrebuildRaw without the host prefetch: the plain build-order
-// InsertRaw loop whose table the prefetching form must reproduce.
+// insertLoop is PrebuildRaw's reference: the plain build-order InsertRaw
+// loop whose table the one-pass span build must reproduce.
 func insertLoop(j *HashJoin) {
 	for i := 0; i < j.Build.Len(); i++ {
 		j.Table.InsertRaw(j.Build.ReadRaw(i))
 	}
+}
+
+// perTupleInput is NewInput's reference: the same span, written with one
+// Bytes call per tuple.
+func perTupleInput(a *arena.Arena, rel *relation.Relation) *Input {
+	if rel.Len() == 0 {
+		return &Input{a: a, base: a.Alloc(relation.TupleBytes, memsim.LineSize)}
+	}
+	in := &Input{a: a, n: rel.Len(), base: a.AllocSpan(uint64(rel.Len()) * relation.TupleBytes)}
+	for i, tup := range rel.Tuples {
+		b := a.Bytes(in.TupleAddr(i), relation.TupleBytes)
+		binary.LittleEndian.PutUint64(b, tup.Key)
+		binary.LittleEndian.PutUint64(b[8:], tup.Payload)
+	}
+	return in
 }
 
 // sameArena reports where two workloads' arenas first differ, if they do.
@@ -42,6 +60,29 @@ func sameArena(t *testing.T, what string, got, want *HashJoin) {
 	}
 }
 
+// checkPrebuild builds one workload twice in arenas of the given chunk size:
+// with NewInput and PrebuildRaw, and with the per-tuple encoding and the
+// InsertRaw loop. The arenas must match after materialization and again
+// after the build.
+func checkPrebuild(t *testing.T, what string, build, probe *relation.Relation, buckets, chunk int) {
+	t.Helper()
+	got := NewHashJoinInArena(arena.NewWithChunkSize(chunk), build, probe, buckets)
+	if buckets <= 0 {
+		buckets = build.Len() / TuplesPerBucket
+	}
+	a := arena.NewWithChunkSize(chunk)
+	want := &HashJoin{Arena: a, Table: ht.New(a, buckets), Build: perTupleInput(a, build), Probe: perTupleInput(a, probe)}
+	sameArena(t, what+": materialized", got, want)
+	got.PrebuildRaw()
+	insertLoop(want)
+	sameArena(t, what+": built", got, want)
+}
+
+// TestPrebuildRawMatchesInsertLoop covers Zipf 0, 0.5 and 1 at 2^12 tuples
+// and at 2^17+3 (an odd count, so the last chunk is partial), the default
+// bucket count, 7 buckets (long chains) and 8193, in default arenas and in
+// 4 KB-chunk arenas whose input spans and overflow nodes cross many chunk
+// edges.
 func TestPrebuildRawMatchesInsertLoop(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -50,22 +91,43 @@ func TestPrebuildRawMatchesInsertLoop(t *testing.T) {
 		{"uniform", relation.JoinSpec{BuildSize: 1 << 12, ProbeSize: 1 << 10, Seed: 3}},
 		{"zipf0.5", relation.JoinSpec{BuildSize: 1 << 12, ProbeSize: 1 << 10, ZipfBuild: 0.5, Seed: 3}},
 		{"zipf1.0", relation.JoinSpec{BuildSize: 1 << 12, ProbeSize: 1 << 10, ZipfBuild: 1, Seed: 3}},
-		{"shorter than the prefetch distance", relation.JoinSpec{BuildSize: prebuildAhead - 3, ProbeSize: 4, ZipfBuild: 1, Seed: 3}},
+		// ht.InsertTuplesRaw hashes 16 tuples ahead of its inserts.
+		{"shorter than the prefetch distance", relation.JoinSpec{BuildSize: 13, ProbeSize: 4, ZipfBuild: 1, Seed: 3}},
+		{"uniform 2^17+3", relation.JoinSpec{BuildSize: 1<<17 + 3, ProbeSize: 5, Seed: 5}},
+		{"zipf0.5 2^17+3", relation.JoinSpec{BuildSize: 1<<17 + 3, ProbeSize: 5, ZipfBuild: 0.5, Seed: 5}},
+		{"zipf1.0 2^17+3", relation.JoinSpec{BuildSize: 1<<17 + 3, ProbeSize: 5, ZipfBuild: 1, Seed: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build, probe, err := relation.BuildJoin(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, buckets := range []int{0, 7} {
-				got := NewHashJoinWithBuckets(build, probe, buckets)
-				got.PrebuildRaw()
-				want := NewHashJoinWithBuckets(build, probe, buckets)
-				insertLoop(want)
-				sameArena(t, tc.name, got, want)
+			for _, buckets := range []int{0, 7, 8193} {
+				for _, chunk := range []int{arena.DefaultChunkBytes, 4096} {
+					checkPrebuild(t, fmt.Sprintf("buckets=%d chunk=%d", buckets, chunk), build, probe, buckets, chunk)
+				}
 			}
 		})
 	}
+}
+
+// FuzzPrebuildRaw compares PrebuildRaw with the InsertRaw loop, and NewInput
+// with the per-tuple encoding, on up to 2^12 keys drawn from a small domain
+// (so chains grow long), 1 to 64 buckets and chunks of 64·2^k bytes.
+func FuzzPrebuildRaw(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, uint8(3), uint8(0), uint8(0))
+	f.Add(bytes.Repeat([]byte{7}, 100), uint8(1), uint8(4), uint8(1))
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 300), uint8(9), uint8(63), uint8(6))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, domain, buckets, chunkShift uint8) {
+		keys := data[:min(len(data), 1<<12)]
+		rel := &relation.Relation{Tuples: make([]relation.Tuple, len(keys))}
+		for i, b := range keys {
+			rel.Tuples[i] = relation.Tuple{Key: uint64(b)%(uint64(domain)+1) + 1, Payload: uint64(i) + 1}
+		}
+		chunk := memsim.LineSize << (chunkShift % 8)
+		checkPrebuild(t, fmt.Sprintf("n=%d chunk=%d", len(keys), chunk), rel, rel, int(buckets%64)+1, chunk)
+	})
 }
 
 // serialPartitionJoin is PartitionJoin and PrebuildRaw done one partition at
