@@ -156,10 +156,7 @@ func warmTable(core *memsim.Core, j *ops.HashJoin) {
 	if total > llc {
 		start = total - llc
 	}
-	base := uint64(j.Table.BaseAddr())
-	for off := start; off < total; off += 64 {
-		core.Touch(memsim.Addr(base+off), 64)
-	}
+	core.Touch(memsim.Addr(uint64(j.Table.BaseAddr())+start), int(total-start))
 }
 
 // parallelJoinConfig describes one sharded multi-core hash-join measurement:

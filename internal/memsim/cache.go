@@ -22,6 +22,15 @@ import "math/bits"
 //   - The set-index computation avoids the hardware divide: power-of-two
 //     set counts use a mask and others (the Xeon L3 has 12288 sets) a
 //     Lemire fast-mod double multiply. Both produce exactly line % sets.
+//   - Warm-up touches (Core.Touch) are not inserted one by one: the cache
+//     keeps one pending run of consecutive touched lines, and every other
+//     entry point applies it first, so the run is invisible to callers.
+//     The run lives in the Cache, not the Core, so another core's access to
+//     a shared L3 applies it too. A run shorter than the set count is an
+//     InsertSpan; a longer one is applied set by set in O(sets × ways)
+//     instead of O(lines × ways), which turns an LLC-sized table warm-up
+//     from hundreds of thousands of shifting inserts into one pass over the
+//     tag array.
 //
 // 32-bit tags bound the simulated address space to 2^32-2 cache lines
 // (256 GB); exceeding it panics loudly rather than aliasing.
@@ -42,6 +51,11 @@ type Cache struct {
 	// dirty records that a tag was ever written since the last Reset, so
 	// resetting a cache that was never filled skips the memset.
 	dirty bool
+	// runFirst and runN are the pending run of touched lines (touch): runN
+	// lines from runFirst, all within the address-space bound, still to be
+	// inserted in ascending order. runN is 0 when nothing is pending.
+	runFirst uint64
+	runN     uint64
 
 	hits      uint64
 	misses    uint64
@@ -106,15 +120,94 @@ func (c *Cache) set(line uint64) []uint32 {
 // promote moves the tag at way w to the front of set, shifting the more
 // recently used ways down by one.
 func promote(set []uint32, w int, tag uint32) {
-	for ; w > 0; w-- {
-		set[w] = set[w-1]
-	}
+	copy(set[1:w+1], set[:w])
 	set[0] = tag
+}
+
+// touch records n consecutive lines from first as inserted, in ascending
+// order, without inserting them yet: a touch that continues the pending run
+// extends it, any other applies the pending run and starts a new one. The
+// caller has checked the lines against the address-space bound. It calls
+// applyRun, not flush, to stay under the inliner's budget, so Core.Touch
+// costs no call per level.
+func (c *Cache) touch(first, n uint64) {
+	if first != c.runFirst+c.runN {
+		c.applyRun()
+		c.runFirst = first
+	}
+	c.runN += n
+}
+
+// flush applies the pending run, if any. Every entry point but touch and
+// Reset calls it first, so callers never see the run.
+func (c *Cache) flush() {
+	if c.runN != 0 {
+		c.applyRun()
+	}
+}
+
+// applyRun clears the pending run and then inserts it, leaving exactly the
+// state and eviction count that one Insert per line in ascending order
+// would. A run shorter than the set count puts at most one line in each set,
+// so it is an InsertSpan. In a longer one, set i (counting from the first
+// line's set) receives the k lines first+i, first+i+sets, ... in that order;
+// when none of them is resident, those k misses leave the last min(k, ways)
+// of them in the front ways, most recent first, ahead of the set's old lines
+// that survive, and evict max(0, valid+k-ways) lines. A set that already
+// holds a line of the run falls back to the k ordinary inserts. An empty
+// run is a no-op.
+func (c *Cache) applyRun() {
+	first, n := c.runFirst, c.runN
+	c.runN = 0
+	if n < c.sets {
+		if n != 0 {
+			c.InsertSpan(first, int(n))
+		}
+		return
+	}
+	c.dirty = true
+	ways := uint64(c.ways)
+	q, r := n/c.sets, n%c.sets
+	base := c.setBase(first)
+	for i := uint64(0); i < c.sets; i++ {
+		set := c.tags[base : base+c.ways : base+c.ways]
+		if base += c.ways; base == len(c.tags) {
+			base = 0
+		}
+		k := q
+		if i < r {
+			k++
+		}
+		line := first + i
+		valid := 0
+		for valid < len(set) && set[valid] != 0 && uint64(set[valid])-1-first >= n {
+			valid++
+		}
+		if valid < len(set) && set[valid] != 0 {
+			// The set holds a line of the run: insert one by one.
+			for ; k > 0; k-- {
+				c.insertInto(set, uint32(line)+1)
+				line += c.sets
+			}
+			continue
+		}
+		if uint64(valid)+k > ways {
+			c.evictions += uint64(valid) + k - ways
+		}
+		m := int(min(k, ways))
+		copy(set[m:], set[:len(set)-m])
+		line += (k - 1) * c.sets
+		for w := range set[:m] {
+			set[w] = uint32(line) + 1
+			line -= c.sets
+		}
+	}
 }
 
 // Lookup reports whether line is present and, if so, marks it most recently
 // used. Statistics are updated.
 func (c *Cache) Lookup(line uint64) bool {
+	c.flush()
 	tag := tagOf(line)
 	set := c.set(line)
 	for w, t := range set {
@@ -134,6 +227,7 @@ func (c *Cache) Lookup(line uint64) bool {
 // Contains reports whether line is present without updating recency or
 // statistics. It is used by prefetch filtering.
 func (c *Cache) Contains(line uint64) bool {
+	c.flush()
 	tag := tagOf(line)
 	for _, t := range c.set(line) {
 		if t == tag {
@@ -151,6 +245,7 @@ func (c *Cache) Contains(line uint64) bool {
 // line and true if an eviction of a valid line occurred. Inserting a line
 // that is already present only refreshes its recency.
 func (c *Cache) Insert(line uint64) (evicted uint64, ok bool) {
+	c.flush()
 	return c.insertInto(c.set(line), tagOf(line))
 }
 
@@ -179,6 +274,7 @@ func (c *Cache) insertInto(set []uint32, tag uint32) (evicted uint64, ok bool) {
 // re-installs its fill window on every stream hit; batching lets the span
 // share the tag arithmetic and step the set index instead of recomputing it.
 func (c *Cache) InsertSpan(first uint64, n int) {
+	c.flush()
 	tag := tagOf(first+uint64(n-1)) - uint32(n-1) // bound-check once
 	base := c.setBase(first)
 	for i := 0; i < n; i++ {
@@ -193,6 +289,7 @@ func (c *Cache) InsertSpan(first uint64, n int) {
 // Invalidate removes line from the cache if present, closing the gap so the
 // empty way moves to the tail.
 func (c *Cache) Invalidate(line uint64) {
+	c.flush()
 	tag := tagOf(line)
 	set := c.set(line)
 	for w, t := range set {
@@ -207,11 +304,12 @@ func (c *Cache) Invalidate(line uint64) {
 	}
 }
 
-// Reset invalidates all lines and clears statistics. A cache that was never
-// filled since the last Reset is still all-empty, so the memset is skipped —
-// which is what makes recycling a socket model cheap for compute-only runs
-// that never reach this level.
+// Reset invalidates all lines, drops the pending run and clears statistics.
+// A cache that was never filled since the last Reset is still all-empty, so
+// the memset is skipped — which is what makes recycling a socket model cheap
+// for compute-only runs that never reach this level.
 func (c *Cache) Reset() {
+	c.runN = 0
 	if c.dirty {
 		clear(c.tags)
 		c.dirty = false
@@ -222,10 +320,19 @@ func (c *Cache) Reset() {
 }
 
 // Hits returns the number of Lookup calls that found their line.
-func (c *Cache) Hits() uint64 { return c.hits }
+func (c *Cache) Hits() uint64 {
+	c.flush()
+	return c.hits
+}
 
 // Misses returns the number of Lookup calls that did not find their line.
-func (c *Cache) Misses() uint64 { return c.misses }
+func (c *Cache) Misses() uint64 {
+	c.flush()
+	return c.misses
+}
 
 // Evictions returns the number of valid lines displaced by Insert.
-func (c *Cache) Evictions() uint64 { return c.evictions }
+func (c *Cache) Evictions() uint64 {
+	c.flush()
+	return c.evictions
+}

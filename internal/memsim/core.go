@@ -642,16 +642,24 @@ func (c *Core) PrefetchSpan(a Addr, size int) {
 }
 
 // Touch installs the lines covering [a, a+size) into the hierarchy without
-// charging any time or statistics. It is used to pre-warm caches to a
-// realistic state before a measured phase (for example, marking the probe
-// input's first lines resident) and by tests.
+// charging any time or statistics, as if each line in ascending order were
+// filled into the L1, L2 and L3. It is used to pre-warm caches to a
+// realistic state before a measured phase (for example, the LLC-sized tail
+// of a hash table a build just wrote) and by tests. A line past the
+// simulator's address-space bound panics here. The fills are deferred: each
+// cache records the lines as a pending run, which consecutive Touch calls
+// extend and the cache's next access applies in bulk (see Cache), so
+// warming line by line costs no more than one Touch of the whole range.
 func (c *Core) Touch(a Addr, size int) {
 	if size <= 0 {
 		size = 1
 	}
 	first := Line(a)
 	last := Line(a + Addr(size) - 1)
-	for line := first; line <= last; line++ {
-		c.fill(line)
-	}
+	// A span that wraps past 2^64 starts far beyond the bound.
+	tagOf(max(first, last))
+	n := last - first + 1
+	c.l1.touch(first, n)
+	c.l2.touch(first, n)
+	c.l3.touch(first, n)
 }
