@@ -32,14 +32,6 @@ type Options = core.Options
 // RunStats summarises one AMAC execution.
 type RunStats = core.RunStats
 
-// MergeRunStats folds the per-worker AMAC scheduling stats of a sharded
-// parallel phase into one report (counters summed, largest Width kept).
-func MergeRunStats(perWorker []RunStats) RunStats { return core.MergeRunStats(perWorker) }
-
-// DefaultWidth is the default number of in-flight lookups for AMAC and for
-// Params.Window; it matches the per-core MLP limit of the paper's Xeon.
-const DefaultWidth = core.DefaultWidth
-
 // Run executes every lookup of machine m on core c using Asynchronous
 // Memory Access Chaining — the paper's contribution.
 func Run[S any](c *Core, m Machine[S], opts Options) RunStats {
@@ -49,18 +41,6 @@ func Run[S any](c *Core, m Machine[S], opts Options) RunStats {
 // RunBaseline executes the machine one lookup at a time with no prefetching.
 func RunBaseline[S any](c *Core, m Machine[S]) {
 	exec.BaselineStream(c, exec.NewMachineSource(m), nil)
-}
-
-// RunGroupPrefetch executes the machine under Group Prefetching with the
-// given group size.
-func RunGroupPrefetch[S any](c *Core, m Machine[S], group int) {
-	exec.GroupPrefetchStream(c, exec.NewMachineSource(m), group, nil)
-}
-
-// RunSoftwarePipeline executes the machine under Software-Pipelined
-// Prefetching with the given number of in-flight lookups.
-func RunSoftwarePipeline[S any](c *Core, m Machine[S], inflight int) {
-	exec.SoftwarePipelineStream(c, exec.NewMachineSource(m), inflight, nil)
 }
 
 // Technique selects one of the four execution schemes when using RunWith.
@@ -76,10 +56,6 @@ const (
 
 // Techniques lists all four techniques in the paper's figure order.
 var Techniques = ops.Techniques
-
-// ParseTechnique converts a label ("Baseline", "GP", "SPP", "AMAC") into a
-// Technique.
-func ParseTechnique(s string) (Technique, error) { return ops.ParseTechnique(s) }
 
 // Params carries the per-technique tuning knob (the number of in-flight
 // lookups) used by RunWith.

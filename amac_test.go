@@ -35,8 +35,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDirectEngineEntryPoints drives each engine through its dedicated
-// function rather than RunWith.
+// TestDirectEngineEntryPoints drives AMAC and Baseline through their
+// dedicated functions and GP and SPP through RunWith.
 func TestDirectEngineEntryPoints(t *testing.T) {
 	build, probe, err := amac.BuildIndexWorkload(1<<9, 3)
 	if err != nil {
@@ -44,22 +44,28 @@ func TestDirectEngineEntryPoints(t *testing.T) {
 	}
 	w := amac.NewBSTWorkload(build, probe)
 
-	run := func(f func(c *amac.Core, m *amac.BSTSearchMachine)) uint64 {
+	run := func(f func(c *amac.Core, out *amac.Output)) uint64 {
 		sys := amac.MustSystem(amac.XeonX5670())
 		c := sys.NewCore()
 		out := amac.NewOutput(w.Arena, false)
-		f(c, w.SearchMachine(out))
+		f(c, out)
 		if int(out.Count) != probe.Len() {
 			t.Fatalf("search found %d of %d keys", out.Count, probe.Len())
 		}
 		return c.Cycle()
 	}
 
-	base := run(func(c *amac.Core, m *amac.BSTSearchMachine) { amac.RunBaseline(c, m) })
-	gp := run(func(c *amac.Core, m *amac.BSTSearchMachine) { amac.RunGroupPrefetch(c, m, 10) })
-	spp := run(func(c *amac.Core, m *amac.BSTSearchMachine) { amac.RunSoftwarePipeline(c, m, 10) })
+	base := run(func(c *amac.Core, out *amac.Output) { amac.RunBaseline(c, w.SearchMachine(out)) })
+	gp := run(func(c *amac.Core, out *amac.Output) {
+		amac.RunWith(c, w.SearchMachine(out), amac.GP, amac.Params{Window: 10})
+	})
+	spp := run(func(c *amac.Core, out *amac.Output) {
+		amac.RunWith(c, w.SearchMachine(out), amac.SPP, amac.Params{Window: 10})
+	})
 	var stats amac.RunStats
-	am := run(func(c *amac.Core, m *amac.BSTSearchMachine) { stats = amac.Run(c, m, amac.Options{Width: 10}) })
+	am := run(func(c *amac.Core, out *amac.Output) {
+		stats = amac.Run(c, w.SearchMachine(out), amac.Options{Width: 10})
+	})
 
 	if stats.Completed != probe.Len() {
 		t.Fatalf("AMAC completed %d of %d", stats.Completed, probe.Len())
@@ -68,33 +74,6 @@ func TestDirectEngineEntryPoints(t *testing.T) {
 		if cycles == 0 {
 			t.Fatalf("%s consumed no cycles", name)
 		}
-	}
-}
-
-func TestParseTechnique(t *testing.T) {
-	tech, err := amac.ParseTechnique("AMAC")
-	if err != nil || tech != amac.AMAC {
-		t.Fatalf("ParseTechnique: %v %v", tech, err)
-	}
-	if _, err := amac.ParseTechnique("bogus"); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestExperimentRegistryExposed(t *testing.T) {
-	exps := amac.Experiments()
-	if len(exps) < 14 {
-		t.Fatalf("expected the full experiment registry, got %d entries", len(exps))
-	}
-	tables, err := amac.RunExperiment("table4", amac.ExperimentConfig{Scale: amac.TinyScale, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) == 0 || tables[0].ID != "table4" {
-		t.Fatal("table4 did not run")
-	}
-	if _, err := amac.RunExperiment("bogus", amac.ExperimentConfig{}); err == nil {
-		t.Fatal("unknown experiment should fail")
 	}
 }
 

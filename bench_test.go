@@ -5,29 +5,8 @@ import (
 	"testing"
 
 	"amac"
+	"amac/internal/serve"
 )
-
-// BenchmarkExperiment regenerates every registered experiment, one
-// sub-benchmark per id, at smoke scale through the same code path as
-// `amacbench -exp <id>`. Use `go run ./cmd/amacbench -exp <id> -scale small`
-// for report-quality numbers (EXPERIMENTS.md records those next to the
-// paper's values).
-func BenchmarkExperiment(b *testing.B) {
-	for _, d := range amac.Experiments() {
-		b.Run(d.ID, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tables, err := amac.RunExperiment(d.ID, amac.ExperimentConfig{Scale: amac.TinyScale, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(tables) == 0 {
-					b.Fatalf("%s produced no tables", d.ID)
-				}
-			}
-		})
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Technique micro-benchmarks: wall-clock cost of simulating one probe,
@@ -198,7 +177,7 @@ func BenchmarkStreamBacklog(b *testing.B) {
 
 func BenchmarkServeDrop(b *testing.B) {
 	join, out := serveBenchJoin(b)
-	bursty := amac.Bursty{Period: 60, BurstLen: 128, Off: 24000}.Schedule(1<<13, 11)
+	bursty := serve.Bursty{Period: 60, BurstLen: 128, Off: 24000}.Schedule(1<<13, 11)
 	benchmarkServe(b, amac.AMAC, bursty, 64, amac.QueueDrop, join, out)
 }
 
@@ -306,8 +285,7 @@ func benchmarkStreamObs(b *testing.B, tr *amac.Trace) {
 	for i := 0; i < b.N; i++ {
 		out.Reset()
 		c := sys.NewCore()
-		amac.RunStream(c, amac.NewMachineSource(join.ProbeMachine(out, false)),
-			amac.Options{Width: 10, Trace: tr.Core("bench core")})
+		amac.Run(c, join.ProbeMachine(out, false), amac.Options{Width: 10, Trace: tr.Core("bench core")})
 	}
 }
 

@@ -190,7 +190,7 @@ func defineFlags(fs *flag.FlagSet, f *cliFlags) {
 	fs.StringVar(&f.arrivals, "arrivals", "", "serving arrival process: deterministic, poisson (default) or bursty")
 	fs.IntVar(&f.qcap, "qcap", 0, "bound the serving admission queue and drop on overflow (0 = unbounded blocking queue)")
 	fs.StringVar(&f.plans, "plans", "", "pipeline plan filter: comma-separated case-insensitive substrings of pipeN plan names (empty = every plan)")
-	fs.StringVar(&f.faults, "faults", "", "faultN chaos schedule: comma-separated \"kind:shard@start+dur[xfactor]\" episodes or \"rand:SEED[:N]\" (empty = default scenario)")
+	fs.StringVar(&f.faults, "faults", "", "faultN chaos schedule: comma-separated \"kind:shard@start+dur[xfactor]\" episodes or \"rand:SEED[:N]\" with N <= 4096 (empty = default scenario)")
 	fs.IntVar(&f.deadline, "deadline", 0, "faultN per-request deadline in cycles (0 = derive 2x the clean-run p99)")
 	fs.IntVar(&f.slo, "slo", 0, "faultN p99 SLO budget in cycles; enables the brownout row (0 = omit it)")
 	fs.BoolVar(&f.jsonOut, "json", false, "emit results as JSON Lines (one object per table row) instead of text tables")

@@ -468,6 +468,7 @@ func TestInvalidFlagMatrix(t *testing.T) {
 		{"unknown arrivals", []string{"-exp", "serveN", "-arrivals", "uniform"}, `unknown arrival process "uniform"`},
 		{"malformed faults", []string{"-exp", "faultN", "-faults", "slow:0@bogus"}, "-faults"},
 		{"slow fault without factor", []string{"-exp", "faultN", "-faults", "slow:0@1000+2000"}, "-faults"},
+		{"rand faults above the cap", []string{"-exp", "faultN", "-faults", "rand:1:9223372036854775807"}, "bad rand episode count"},
 		{"empty plans token", []string{"-exp", "pipeN", "-plans", "mixed,,agg"}, "empty token"},
 		{"unknown plans token", []string{"-exp", "pipeN", "-plans", "nosuchplan"}, "matches no pipeN plan"},
 		{"arrivals outside serving", []string{"-exp", "fig6", "-arrivals", "bursty"}, "-arrivals only affects"},

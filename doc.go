@@ -13,50 +13,39 @@
 // memory-level parallelism the core sustains.
 //
 // Go has no portable prefetch intrinsic, so this library reproduces the
-// paper on a deterministic, cycle-accounting model of the two machines the
-// paper evaluates (an Intel Xeon x5670 socket and a SPARC T4 socket); see
-// DESIGN.md for the substitution argument. The library exposes four layers:
+// paper on a deterministic, cycle-accounting model of the machines the paper
+// evaluates; the package documentation of internal/memsim gives the
+// substitution argument, and EXPERIMENTS.md compares the results with the
+// paper's. The API has six parts:
 //
-//   - the simulated hardware (System, Core, XeonX5670, SPARCT4),
-//   - the execution engines (Baseline, GP, SPP, and the AMAC scheduler Run),
-//     which schedule user-defined stage Machines,
-//   - the paper's operators and workloads (hash join, group-by, BST search,
-//     skip list search/insert) ready to run under any engine,
-//   - the streaming request-serving layer (arrival processes, QueueSource,
-//     RunStream and the per-technique stream engines, RunService), which
-//     serves the same operators under open-loop load and accounts
-//     per-request latency,
-//   - the adaptive execution subsystem (AdaptiveController, RunAdaptive,
-//     RunStreamAdaptive, WidthAIMD), which picks the technique per phase
-//     online and resizes the AMAC slot window mid-run from per-window
-//     execution samples — the paper's Section 6 flexibility argument as a
-//     feedback loop,
-//   - the streaming pipeline layer (PipelineBuilder, NewPipeline,
-//     ServePipelines), which chains the operators into multi-operator query
-//     plans whose rows stream stage-to-stage through bounded, backpressured
-//     pipes with a per-stage engine choice — static, planned by the
-//     cost-seeded mini-planner (PipelineBuilder.Plan), or fully adaptive,
-//   - the observability subsystem (Trace, Metrics), which records the whole
-//     stack on the simulated clock — slot lifecycle, group boundaries,
-//     controller decisions, queue and pipe activity as Chrome/Perfetto
-//     trace-event JSON, and gauge time series (width, MSHR occupancy, queue
-//     depth, sliding p99, stall fraction) as JSON Lines. A nil sink is the
-//     disabled state: every recording method on a nil receiver is a
-//     single-branch, zero-allocation no-op, and tracing never changes a
-//     simulated result byte. Adaptive controllers additionally keep an
-//     always-on structured decision log (AdaptiveInfo.Decisions) answering
-//     "why did this shard switch technique?" without a trace viewer,
-//   - the cycle-attribution profiler (CycleProfile), under the same nil-is-
-//     disabled contract: the memory model charges every simulated cycle to
-//     one category (compute, exposed stall per miss level, TLB, MSHR
-//     pressure, idle) under the context stack the engines push (technique,
-//     stage, probe/exploit epoch, pipeline stage, serving admission), with
-//     exact conservation against the core's cycle counter, hidden-versus-
-//     exposed fill accounting with achieved MLP, and folded-flamegraph and
-//     gzipped-pprof exports keyed on simulated cycles,
-//   - the experiment harness that regenerates every table and figure of the
-//     paper's evaluation (Experiments, RunExperiment; also exposed through
-//     cmd/amacbench).
+//   - the simulated hardware: Hardware and XeonX5670 describe a socket,
+//     NewSystem or MustSystem builds it, and System.NewCore hands out the
+//     Core every engine charges; Arena is the simulated address space;
+//   - the engines: a Machine describes a lookup as numbered code stages, and
+//     Run (AMAC), RunBaseline and RunWith (any Technique: Baseline, GP, SPP,
+//     AMAC) schedule it; RunParallel runs one engine per worker on private
+//     cores;
+//   - the paper's workloads: BuildJoin, BuildGroupBy and BuildIndexWorkload
+//     generate relations, and NewHashJoin, PartitionJoin, NewGroupBy,
+//     NewBSTWorkload and NewSkipListWorkload materialize them as machines
+//     that run under any engine;
+//   - open-loop serving: RunService serves ServiceWorkers from bounded
+//     admission queues and records per-request latency (LatencyRecorder);
+//     RunFaultyService runs the same coordinator under a FaultSchedule with
+//     deadlines, retries, hedging and circuit breakers; with
+//     ServiceOptions.Adaptive set, every shard has an adaptive controller
+//     that picks the technique and resizes the AMAC slot window online;
+//   - streaming pipelines: NewPipeline declares a multi-operator plan whose
+//     stages stream rows through bounded, backpressured pipes, each stage
+//     under its own engine — static, planned (PipelineBuilder.Plan) or
+//     adaptive (Pipeline.RunAdaptive with an AdaptiveController per stage);
+//   - instrumentation on the simulated clock: Trace (Chrome/Perfetto
+//     events), Metrics (gauge time series) and CycleProfile (every cycle
+//     charged to one category, folded and pprof exports), gathered in one
+//     Sinks value. A nil sink is the disabled state, and an instrumented run
+//     is byte-identical to a plain one.
 //
-// The examples directory contains runnable programs for each layer.
+// The examples directory holds a runnable program for each part, and
+// cmd/amacbench regenerates every table and figure of the paper's
+// evaluation.
 package amac

@@ -13,10 +13,7 @@ import (
 // — that keep a degraded service's surviving tail bounded (see the faultN
 // experiment).
 
-// FaultKind discriminates fault episodes (slow, freeze, crash, spike).
-type FaultKind = fault.Kind
-
-// The fault episode kinds.
+// The fault episode kinds (FaultEpisode.Kind).
 const (
 	FaultSlow   = fault.Slow
 	FaultFreeze = fault.Freeze
@@ -32,21 +29,6 @@ type FaultEpisode = fault.Episode
 // one active episode per shard at any instant.
 type FaultSchedule = fault.Schedule
 
-// ParseFaults parses a chaos-schedule spec: either a comma-separated
-// episode list ("slow:0@20000+40000x4,crash:1@90000+30000", tokens
-// kind:shard@start+dur[xfactor]) or a seeded random request
-// ("rand:SEED[:N]") that RunFaultyService materializes once the shard count
-// and horizon are known.
-func ParseFaults(spec string) (fault.Spec, error) {
-	return fault.ParseSpec(spec)
-}
-
-// RandomFaults draws a seeded random schedule of n episodes across the
-// given shards and horizon — deterministic for a fixed seed.
-func RandomFaults(seed uint64, n, shards int, horizon uint64) *FaultSchedule {
-	return fault.Random(seed, n, shards, horizon)
-}
-
 // RetryPolicy is capped exponential backoff for requests whose last live
 // copy timed out or was crash-dropped.
 type RetryPolicy = fault.RetryPolicy
@@ -58,25 +40,13 @@ type HedgePolicy = fault.HedgePolicy
 // BreakerConfig configures the per-shard circuit breaker: an EWMA of the
 // shard's per-round timeout fraction opens the breaker (arrivals reroute to
 // siblings), a cooldown moves it to half-open, and successful probes close
-// it again.
+// it again. Only the cooldown is tunable.
 type BreakerConfig = fault.BreakerConfig
-
-// BreakerTransition is one breaker state change on the simulated clock.
-type BreakerTransition = fault.Transition
-
-// SLO configures the brownout controller: a sliding-p99 budget and the
-// request classes load is shed by when the budget is exceeded.
-type SLO = fault.SLO
 
 // FaultyServiceOptions configures a fault-injected service run: the plain
 // ServiceOptions plus a chaos schedule, per-request deadlines and the
 // recovery policies layered on top of the shards.
 type FaultyServiceOptions = serve.FaultyOptions
-
-// FaultInfo summarises a run's fault activity (episodes applied, deepest
-// brownout shed level, breaker transitions); ServiceResult.Faults and
-// PerWorker[w].Faults carry it for fault-injected runs.
-type FaultInfo = serve.FaultInfo
 
 // RunFaultyService executes a sharded streaming service under deterministic
 // fault injection. It is the coordinator RunService also runs on: with a
@@ -85,7 +55,8 @@ type FaultInfo = serve.FaultInfo
 // deadlines, hedging, breakers and brownout apply at identical simulated
 // instants on every execution. A zero-fault, zero-policy run is
 // bit-identical to RunService on the same configuration; unlike RunService,
-// its result always carries a Faults summary.
+// its result always carries a Faults summary (episodes applied, deepest
+// brownout shed level, breaker transitions).
 func RunFaultyService[S any](opts FaultyServiceOptions, workers []ServiceWorker[S]) ServiceResult {
 	return serve.RunFaulty(opts, workers)
 }

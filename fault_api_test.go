@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"amac"
+	"amac/internal/fault"
+	"amac/internal/serve"
 )
 
 // faultServiceWorkers builds a two-worker partitioned-join service fixture
@@ -24,7 +26,7 @@ func faultServiceWorkers(t *testing.T) ([]amac.ServiceWorker[amac.ProbeState], i
 		out.Sequential = true
 		specs[w] = amac.ServiceWorker[amac.ProbeState]{
 			Machine:  pj.ProbeMachine(w, out, true),
-			Arrivals: amac.Deterministic{Period: 500}.Schedule(pj.Parts[w].Probe.Len(), 0),
+			Arrivals: serve.Deterministic{Period: 500}.Schedule(pj.Parts[w].Probe.Len(), 0),
 		}
 	}
 	return specs, probe.Len()
@@ -63,11 +65,11 @@ func TestFaultPublicAPIZeroConfigMatchesRunService(t *testing.T) {
 	}
 }
 
-// TestFaultPublicAPIParseAndInject round-trips a schedule through
-// ParseFaults and checks an injected slowdown is applied (episode counted,
+// TestFaultPublicAPIParseAndInject parses a schedule with the -faults
+// grammar and checks an injected slowdown is applied (episode counted,
 // run slower than clean) while every request still completes.
 func TestFaultPublicAPIParseAndInject(t *testing.T) {
-	spec, err := amac.ParseFaults("slow:0@4000+40000x6")
+	spec, err := fault.ParseSpec("slow:0@4000+40000x6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +112,14 @@ func TestFaultPublicAPIParseAndInject(t *testing.T) {
 			faulty.PerWorker[0].Latency.P99(), clean.PerWorker[0].Latency.P99())
 	}
 
-	if _, err := amac.ParseFaults("slow:0@bogus"); err == nil {
+	if _, err := fault.ParseSpec("slow:0@bogus"); err == nil {
 		t.Fatal("malformed spec accepted")
 	}
 	// Random drops draws that would overlap an earlier episode on the same
 	// shard, so n is a cap, not an exact count.
-	sched := amac.RandomFaults(7, 3, 2, 1_000_000)
+	sched := fault.Random(7, 3, 2, 1_000_000)
 	if sched == nil || sched.Empty() || len(sched.Episodes) > 3 {
-		t.Fatalf("RandomFaults returned %v", sched)
+		t.Fatalf("Random returned %v", sched)
 	}
 	if err := sched.Validate(2); err != nil {
 		t.Fatalf("random schedule invalid: %v", err)

@@ -6,23 +6,13 @@ import (
 )
 
 // Hardware describes a simulated socket: cores, cache hierarchy, MSHRs, TLB,
-// off-chip queue and clock. Use XeonX5670 or SPARCT4 for the machines the
-// paper evaluates, or build a custom configuration.
+// off-chip queue and clock. XeonX5670 is the paper's primary machine; check
+// a modified or custom configuration with NewSystem.
 type Hardware = memsim.Config
-
-// CacheConfig describes one cache level of a Hardware configuration.
-type CacheConfig = memsim.CacheConfig
-
-// TLBConfig describes the data TLB of a Hardware configuration.
-type TLBConfig = memsim.TLBConfig
 
 // XeonX5670 returns the model of the Intel Xeon x5670 socket used in the
 // paper's primary evaluation.
 func XeonX5670() Hardware { return memsim.XeonX5670() }
-
-// SPARCT4 returns the model of the Oracle SPARC T4 socket used in the
-// paper's secondary evaluation.
-func SPARCT4() Hardware { return memsim.SPARCT4() }
 
 // System is one simulated socket: a shared last-level cache and off-chip
 // queue from which representative cores are created.

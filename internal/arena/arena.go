@@ -122,8 +122,8 @@ func (a *Arena) reserve(end uint64) {
 	a.top = end
 }
 
-// AllocLines reserves n whole cache lines (64-byte aligned).
-func (a *Arena) AllocLines(n int) Addr {
+// allocLines reserves n whole cache lines (64-byte aligned).
+func (a *Arena) allocLines(n int) Addr {
 	return a.Alloc(n*memsim.LineSize, memsim.LineSize)
 }
 
@@ -155,12 +155,6 @@ func (a *Arena) AllocSpan(size uint64) Addr {
 // Size returns the number of bytes of address space handed out so far
 // (including alignment padding).
 func (a *Arena) Size() uint64 { return a.top }
-
-// Allocations returns the number of Alloc/AllocSpan calls served.
-func (a *Arena) Allocations() uint64 { return a.allocs }
-
-// Wasted returns the number of bytes lost to alignment and chunk padding.
-func (a *Arena) Wasted() uint64 { return a.wasted }
 
 // slice returns the backing bytes for [addr, addr+size), which must lie
 // within one chunk and within allocated space. For size >= 1, the first test
@@ -218,19 +212,19 @@ func (a *Arena) WriteU64(addr Addr, v uint64) {
 	binary.LittleEndian.PutUint64(a.slice(addr, 8), v)
 }
 
-// ReadI64 reads a signed 64-bit value.
-func (a *Arena) ReadI64(addr Addr) int64 { return int64(a.ReadU64(addr)) }
+// readI64 reads a signed 64-bit value.
+func (a *Arena) readI64(addr Addr) int64 { return int64(a.ReadU64(addr)) }
 
-// WriteI64 writes a signed 64-bit value.
-func (a *Arena) WriteI64(addr Addr, v int64) { a.WriteU64(addr, uint64(v)) }
+// writeI64 writes a signed 64-bit value.
+func (a *Arena) writeI64(addr Addr, v int64) { a.WriteU64(addr, uint64(v)) }
 
-// ReadU32 reads a little-endian 32-bit value.
-func (a *Arena) ReadU32(addr Addr) uint32 {
+// readU32 reads a little-endian 32-bit value.
+func (a *Arena) readU32(addr Addr) uint32 {
 	return binary.LittleEndian.Uint32(a.slice(addr, 4))
 }
 
-// WriteU32 writes a little-endian 32-bit value.
-func (a *Arena) WriteU32(addr Addr, v uint32) {
+// writeU32 writes a little-endian 32-bit value.
+func (a *Arena) writeU32(addr Addr, v uint32) {
 	binary.LittleEndian.PutUint32(a.slice(addr, 4), v)
 }
 
@@ -263,15 +257,15 @@ func (a *Arena) BytesInChunk(addr Addr, size uint64) []byte {
 	return a.slice(addr, int(min(size, a.chunkBytes-uint64(addr)&a.chunkMask)))
 }
 
-// ReadBytes copies size bytes starting at addr into a new slice. Prefer
+// readBytes copies size bytes starting at addr into a new slice. Prefer
 // Bytes on hot paths; ReadBytes allocates its result.
-func (a *Arena) ReadBytes(addr Addr, size int) []byte {
+func (a *Arena) readBytes(addr Addr, size int) []byte {
 	out := make([]byte, size)
 	copy(out, a.slice(addr, size))
 	return out
 }
 
-// WriteBytes copies b into the arena starting at addr.
-func (a *Arena) WriteBytes(addr Addr, b []byte) {
+// writeBytes copies b into the arena starting at addr.
+func (a *Arena) writeBytes(addr Addr, b []byte) {
 	copy(a.slice(addr, len(b)), b)
 }

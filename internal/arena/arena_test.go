@@ -29,19 +29,19 @@ func TestAllocAlignment(t *testing.T) {
 	if addr2%16 != 0 {
 		t.Fatalf("allocation not 16-byte aligned: %d", addr2)
 	}
-	if a.Wasted() == 0 {
+	if a.wasted == 0 {
 		t.Fatal("alignment padding should have been recorded")
 	}
 }
 
 func TestAllocLines(t *testing.T) {
 	a := New()
-	addr := a.AllocLines(3)
+	addr := a.allocLines(3)
 	if addr%memsim.LineSize != 0 {
-		t.Fatalf("AllocLines not line aligned: %d", addr)
+		t.Fatalf("allocLines not line aligned: %d", addr)
 	}
-	if got := a.Allocations(); got != 1 {
-		t.Fatalf("Allocations = %d, want 1", got)
+	if got := a.allocs; got != 1 {
+		t.Fatalf("allocs = %d, want 1", got)
 	}
 }
 
@@ -81,12 +81,12 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if got := a.ReadU64(addr); got != 0xdeadbeefcafebabe {
 		t.Fatalf("u64 round trip: %x", got)
 	}
-	a.WriteI64(addr+8, -42)
-	if got := a.ReadI64(addr + 8); got != -42 {
+	a.writeI64(addr+8, -42)
+	if got := a.readI64(addr + 8); got != -42 {
 		t.Fatalf("i64 round trip: %d", got)
 	}
-	a.WriteU32(addr+16, 0x12345678)
-	if got := a.ReadU32(addr + 16); got != 0x12345678 {
+	a.writeU32(addr+16, 0x12345678)
+	if got := a.readU32(addr + 16); got != 0x12345678 {
 		t.Fatalf("u32 round trip: %x", got)
 	}
 	a.WriteU8(addr+20, 0xab)
@@ -97,8 +97,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if got := a.ReadAddr(addr + 24); got != addr {
 		t.Fatalf("addr round trip: %d", got)
 	}
-	a.WriteBytes(addr+32, []byte{1, 2, 3, 4})
-	if got := a.ReadBytes(addr+32, 4); got[0] != 1 || got[3] != 4 {
+	a.writeBytes(addr+32, []byte{1, 2, 3, 4})
+	if got := a.readBytes(addr+32, 4); got[0] != 1 || got[3] != 4 {
 		t.Fatalf("bytes round trip: %v", got)
 	}
 }
@@ -142,7 +142,7 @@ func TestInvalidAccessesPanic(t *testing.T) {
 		{"oversized alloc", func(a *Arena) { a.Alloc(int(DefaultChunkBytes)+1, 8) }, "exceeds chunk size"},
 		{"nil address read", func(a *Arena) { a.ReadU64(0) }, "invalid access addr=0 size=8"},
 		{"out of bounds read", func(a *Arena) { a.ReadU64(1 << 40) }, "beyond allocated space"},
-		{"read past allocation", func(a *Arena) { addr := a.Alloc(8, 8); a.ReadBytes(addr, 1<<16) }, "beyond allocated space"},
+		{"read past allocation", func(a *Arena) { addr := a.Alloc(8, 8); a.readBytes(addr, 1<<16) }, "beyond allocated space"},
 		{"zero size access", func(a *Arena) { a.Bytes(a.Alloc(8, 8), 0) }, "invalid access"},
 		{"negative size access", func(a *Arena) { a.Bytes(a.Alloc(8, 8), -8) }, "invalid access"},
 		{"access ending at the top", func(a *Arena) { a.Alloc(24, 8); a.Bytes(Addr(a.Size()-16), 16) }, ""},
@@ -237,8 +237,8 @@ func TestSizeGrowsMonotonically(t *testing.T) {
 func TestPrefetchIsAHint(t *testing.T) {
 	const chunk = 4096
 	a := NewWithChunkSize(chunk)
-	first := a.AllocLines(40)
-	a.AllocLines(40) // does not fit the first chunk's tail: starts the second
+	first := a.allocLines(40)
+	a.allocLines(40) // does not fit the first chunk's tail: starts the second
 	top := Addr(a.Size())
 	if top <= chunk {
 		t.Fatalf("arena top %d does not reach the second chunk", top)
@@ -285,7 +285,7 @@ func TestConcurrentReads(t *testing.T) {
 	a := NewWithChunkSize(chunk)
 	var addrs []Addr
 	for i := 0; i < chunks*4; i++ {
-		p := a.AllocLines(1)
+		p := a.allocLines(1)
 		a.WriteU64(p, uint64(i))
 		addrs = append(addrs, p)
 	}

@@ -82,10 +82,10 @@ func (t *Tree) Left(n arena.Addr) arena.Addr { return t.a.ReadAddr(n + offLeft) 
 // Right returns the right child of node n (0 if none).
 func (t *Tree) Right(n arena.Addr) arena.Addr { return t.a.ReadAddr(n + offRight) }
 
-// Child returns the child to follow when searching for key at node n: the
+// child returns the child to follow when searching for key at node n: the
 // left child if key is smaller than the node's key, otherwise the right
 // child. It mirrors the comparison a search stage performs.
-func (t *Tree) Child(n arena.Addr, key uint64) arena.Addr {
+func (t *Tree) child(n arena.Addr, key uint64) arena.Addr {
 	if key < t.Key(n) {
 		return t.Left(n)
 	}
@@ -170,9 +170,9 @@ func (t *Tree) Depth(key uint64) int {
 	return 0
 }
 
-// Height returns the height of the tree (longest root-to-leaf path, in
+// height returns the height of the tree (longest root-to-leaf path, in
 // nodes). It walks iteratively to avoid deep recursion on skewed trees.
-func (t *Tree) Height() int {
+func (t *Tree) height() int {
 	if t.root == 0 {
 		return 0
 	}
@@ -198,8 +198,8 @@ func (t *Tree) Height() int {
 	return max
 }
 
-// InOrderKeys returns all keys in sorted order (iteratively, for tests).
-func (t *Tree) InOrderKeys() []uint64 {
+// inOrderKeys returns all keys in sorted order (iteratively, for tests).
+func (t *Tree) inOrderKeys() []uint64 {
 	var out []uint64
 	var stack []arena.Addr
 	cur := t.root

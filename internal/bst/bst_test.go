@@ -11,7 +11,7 @@ import (
 
 func TestEmptyTree(t *testing.T) {
 	tr := New(arena.New())
-	if tr.Root() != 0 || tr.Len() != 0 || tr.Height() != 0 {
+	if tr.Root() != 0 || tr.Len() != 0 || tr.height() != 0 {
 		t.Fatal("empty tree invariants broken")
 	}
 	if _, ok := tr.SearchRaw(1); ok {
@@ -55,7 +55,7 @@ func TestInOrderIsSorted(t *testing.T) {
 		for _, tup := range build.Tuples {
 			tr.Insert(tup.Key, tup.Payload)
 		}
-		keys := tr.InOrderKeys()
+		keys := tr.inOrderKeys()
 		return sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) && len(keys) == 256
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -74,7 +74,7 @@ func TestRandomTreeHeightIsLogarithmic(t *testing.T) {
 	}
 	// A random BST over n keys has expected height ~2.99 log2(n); 12 levels
 	// of keys should comfortably stay under 48.
-	if h := tr.Height(); h < 12 || h > 48 {
+	if h := tr.height(); h < 12 || h > 48 {
 		t.Fatalf("height %d outside the plausible range for a random BST of 4096 keys", h)
 	}
 }
@@ -84,8 +84,8 @@ func TestSortedInsertYieldsDegenerateTree(t *testing.T) {
 	for k := uint64(1); k <= 64; k++ {
 		tr.Insert(k, k)
 	}
-	if tr.Height() != 64 {
-		t.Fatalf("sorted insert should produce a linked list, height = %d", tr.Height())
+	if tr.height() != 64 {
+		t.Fatalf("sorted insert should produce a linked list, height = %d", tr.height())
 	}
 }
 
@@ -95,13 +95,13 @@ func TestChildFollowsComparison(t *testing.T) {
 	tr.Insert(5, 2)
 	tr.Insert(15, 3)
 	root := tr.Root()
-	if tr.Child(root, 3) != tr.Left(root) {
+	if tr.child(root, 3) != tr.Left(root) {
 		t.Fatal("smaller key should go left")
 	}
-	if tr.Child(root, 12) != tr.Right(root) {
+	if tr.child(root, 12) != tr.Right(root) {
 		t.Fatal("larger key should go right")
 	}
-	if tr.Child(root, 10) != tr.Right(root) {
+	if tr.child(root, 10) != tr.Right(root) {
 		t.Fatal("equal key goes right by convention")
 	}
 	if tr.Key(root) != 10 || tr.Payload(root) != 1 {

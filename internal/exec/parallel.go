@@ -20,37 +20,6 @@ import (
 // MLP within one core, and its evaluation scales across cores by
 // partitioning the lookups of the probe relation.
 
-// ShardRange is the half-open range of global lookup indices [Lo, Lo+N)
-// assigned to one worker.
-type ShardRange struct {
-	Lo, N int
-}
-
-// SplitLookups partitions n lookups across workers as evenly as possible:
-// the first n%workers shards receive one extra lookup. It always returns
-// exactly workers ranges (trailing ones may be empty when n < workers).
-func SplitLookups(n, workers int) []ShardRange {
-	if workers < 1 {
-		workers = 1
-	}
-	if n < 0 {
-		n = 0
-	}
-	out := make([]ShardRange, workers)
-	base := n / workers
-	extra := n % workers
-	lo := 0
-	for w := range out {
-		size := base
-		if w < extra {
-			size++
-		}
-		out[w] = ShardRange{Lo: lo, N: size}
-		lo += size
-	}
-	return out
-}
-
 // Shard views lookups [Lo, Lo+N) of an underlying machine as a standalone
 // machine with local indices 0..N-1, so any engine can run one worker's
 // share of the work unchanged. The underlying machine must be safe for the

@@ -8,46 +8,6 @@ import (
 	"amac/internal/memsim"
 )
 
-func TestSplitLookups(t *testing.T) {
-	cases := []struct {
-		n, workers int
-	}{
-		{0, 1}, {1, 1}, {10, 1}, {10, 3}, {3, 10}, {16, 4}, {17, 4},
-	}
-	for _, tc := range cases {
-		shards := exec.SplitLookups(tc.n, tc.workers)
-		if len(shards) != tc.workers {
-			t.Fatalf("SplitLookups(%d, %d) returned %d shards", tc.n, tc.workers, len(shards))
-		}
-		next, total, max, min := 0, 0, 0, tc.n+1
-		for _, sh := range shards {
-			if sh.Lo != next {
-				t.Fatalf("SplitLookups(%d, %d): shard starts at %d, want %d", tc.n, tc.workers, sh.Lo, next)
-			}
-			if sh.N < 0 {
-				t.Fatalf("negative shard size %d", sh.N)
-			}
-			next = sh.Lo + sh.N
-			total += sh.N
-			if sh.N > max {
-				max = sh.N
-			}
-			if sh.N < min {
-				min = sh.N
-			}
-		}
-		if total != tc.n {
-			t.Fatalf("SplitLookups(%d, %d) covers %d lookups", tc.n, tc.workers, total)
-		}
-		if max-min > 1 {
-			t.Fatalf("SplitLookups(%d, %d) imbalanced: min %d, max %d", tc.n, tc.workers, min, max)
-		}
-	}
-	if got := exec.SplitLookups(5, 0); len(got) != 1 || got[0].N != 5 {
-		t.Fatalf("SplitLookups with zero workers should clamp to one shard, got %+v", got)
-	}
-}
-
 func TestShardDelegatesWithOffset(t *testing.T) {
 	m := exectest.NewChainMachine(uniformLengths(10, 2), 3)
 	sh := exec.Shard[exectest.ChainState]{M: m, Lo: 4, N: 3}
@@ -74,13 +34,13 @@ func TestShardDelegatesWithOffset(t *testing.T) {
 // returns the merged stats.
 func parallelChainRun(workers int) exec.ParallelStats {
 	const lookups = 240
-	shards := exec.SplitLookups(lookups, workers)
 	cores := make([]*memsim.Core, workers)
 	machines := make([]*exectest.ChainMachine, workers)
 	for w := range cores {
 		sys := memsim.MustSystem(memsim.XeonX5670().ShareLLC(workers))
 		cores[w] = sys.NewCore()
-		machines[w] = exectest.NewChainMachine(variableLengths(shards[w].N, uint64(w+1)), 5)
+		n := (w+1)*lookups/workers - w*lookups/workers
+		machines[w] = exectest.NewChainMachine(variableLengths(n, uint64(w+1)), 5)
 	}
 	return exec.RunParallel(cores, func(w int, c *memsim.Core) {
 		softwarePipeline(c, machines[w], 8)

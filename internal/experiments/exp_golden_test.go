@@ -1,40 +1,41 @@
-package amac_test
+package experiments
 
 // Experiment-output golden: every registered experiment at tiny scale must
-// reproduce testdata/exp_tiny.json byte for byte. The file is exactly what
+// reproduce the repository's testdata/exp_tiny.json byte for byte. The file
+// is exactly what
 //
 //	amacbench -exp all -scale tiny -parallel 1 -json
 //
 // prints on stdout, so it pins the figures and tables the paper comparison
-// rests on, including sweep shapes the per-run goldens in golden_test.go do
-// not reach (an engine's end-of-run behaviour shows up here as a one-cycle
+// rests on, including sweep shapes the per-run goldens in the root
+// package's golden_test.go do not reach (an engine's end-of-run behaviour shows up here as a one-cycle
 // shift long before it moves any single golden run). Regenerate it only when
 // the model deliberately changes:
 //
-//	go test -run TestExperimentOutputGolden -update-golden
-//
-// (the -update-golden flag is shared with TestGoldenStats).
+//	go test -run TestExperimentOutputGolden -update-golden ./internal/experiments
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
-	"amac"
 	"amac/internal/table"
 )
 
-const expGoldenPath = "testdata/exp_tiny.json"
+const expGoldenPath = "../../testdata/exp_tiny.json"
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+expGoldenPath+" from the current experiments")
 
 // experimentOutput renders every experiment the way amacbench -json does,
 // at the CLI's default seed.
 func experimentOutput(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, d := range amac.Experiments() {
-		tables, err := amac.RunExperiment(d.ID, amac.ExperimentConfig{Scale: amac.TinyScale, Seed: 42, Parallel: 1})
+	for _, d := range Registry() {
+		tables, err := Run(d.ID, Config{Scale: Tiny, Seed: 42, Parallel: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", d.ID, err)
 		}
@@ -94,4 +95,26 @@ func lineDiff(want, got string, max int) string {
 		fmt.Fprintf(&b, "... and %d more differing lines\n", total-shown)
 	}
 	return b.String()
+}
+
+// BenchmarkExperiment regenerates every registered experiment, one
+// sub-benchmark per id, at smoke scale through the same code path as
+// `amacbench -exp <id>`. Use `go run ./cmd/amacbench -exp <id> -scale small`
+// for report-quality numbers (EXPERIMENTS.md records those next to the
+// paper's values).
+func BenchmarkExperiment(b *testing.B) {
+	for _, d := range Registry() {
+		b.Run(d.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tables, err := Run(d.ID, Config{Scale: Tiny, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tables) == 0 {
+					b.Fatalf("%s produced no tables", d.ID)
+				}
+			}
+		})
+	}
 }

@@ -2,8 +2,8 @@
 // paper's evaluation (plus the motivation experiments of Section 2 and a set
 // of ablations suggested by Section 6) on top of the simulated memory
 // hierarchy. Each experiment is registered under the identifier used in
-// DESIGN.md and EXPERIMENTS.md and returns one or more table.Tables whose
-// rows and columns mirror the paper's artifact.
+// EXPERIMENTS.md and returns one or more table.Tables whose rows and columns
+// mirror the paper's artifact.
 package experiments
 
 import (
@@ -219,8 +219,8 @@ func (c Config) sizes() sizes {
 
 // Descriptor registers one reproducible artifact.
 type Descriptor struct {
-	// ID is the identifier used across DESIGN.md, EXPERIMENTS.md, the CLI
-	// and the benchmarks ("fig5a", "table3", ...).
+	// ID is the identifier used across EXPERIMENTS.md, the CLI and the
+	// benchmarks ("fig5a", "table3", ...).
 	ID string
 	// Title summarises what the paper artifact shows.
 	Title string

@@ -48,10 +48,6 @@ const (
 // pipePlanNames lists every pipeN plan in execution order.
 var pipePlanNames = []string{pipeAggPlan, pipeBSTPlan, pipeChainPlan}
 
-// PipePlanNames returns the names of the pipeline experiment's plans, in the
-// order pipeN runs them.
-func PipePlanNames() []string { return append([]string(nil), pipePlanNames...) }
-
 // ValidatePipePlans checks a Config.Plans filter: comma-separated,
 // case-insensitive substring tokens, each of which must match at least one
 // pipeN plan name. The empty filter (run everything) is valid.

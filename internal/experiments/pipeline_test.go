@@ -174,7 +174,7 @@ func FuzzValidatePipePlans(f *testing.F) {
 		for _, tok := range strings.Split(filter, ",") {
 			tok = strings.ToLower(strings.TrimSpace(tok))
 			matched := false
-			for _, name := range PipePlanNames() {
+			for _, name := range pipePlanNames {
 				if tok != "" && strings.Contains(strings.ToLower(name), tok) {
 					want[name] = true
 					matched = true

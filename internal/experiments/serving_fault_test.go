@@ -163,7 +163,7 @@ func TestFaultNSlotAccounting(t *testing.T) {
 		Deadline: 8_000,
 		Retry:    fault.RetryPolicy{Max: 2, Backoff: 4_000},
 		Hedge:    fault.HedgePolicy{Delay: 6_000},
-		Breaker:  &fault.BreakerConfig{Cooldown: 32_000, MinSamples: 4},
+		Breaker:  &fault.BreakerConfig{Cooldown: 32_000},
 		Sched:    fj.scheds,
 	}, specs)
 

@@ -36,42 +36,31 @@ type Transition struct {
 }
 
 // BreakerConfig tunes a per-shard circuit breaker. The zero value selects
-// all defaults.
+// the default cooldown.
 type BreakerConfig struct {
-	// Alpha is the EWMA weight of each observation round's timeout fraction.
-	// Default 0.3.
-	Alpha float64
 	// Cooldown is how long an open breaker waits before probing, in cycles.
 	// Default 1<<16.
 	Cooldown uint64
-	// ProbeEvery admits one of every N arrivals while half-open and reroutes
-	// the rest. Default 8.
-	ProbeEvery int
-	// MinSamples is the number of request outcomes the EWMA must cover
-	// before it can open the breaker. Default 16.
-	MinSamples int
 }
 
 // A closed or half-open breaker opens when its EWMA timeout fraction rises
-// above openAbove; a half-open one closes at or below closeBelow.
+// above openAbove; a half-open one closes at or below closeBelow. The EWMA
+// weighs each observation round's timeout fraction by ewmaAlpha, and a
+// closed breaker opens only once it covers minSamples request outcomes.
+// While half-open it admits one of every probeEvery arrivals and reroutes
+// the rest.
 const (
 	openAbove  = 0.5
 	closeBelow = 0.1
+	ewmaAlpha  = 0.3
+	minSamples = 16
+	probeEvery = 8
 )
 
 // withDefaults fills zero fields.
 func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 0.3
-	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 1 << 16
-	}
-	if c.ProbeEvery == 0 {
-		c.ProbeEvery = 8
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 16
 	}
 	return c
 }
@@ -133,12 +122,12 @@ func (b *Breaker) Observe(now uint64, completed, timedOut int) State {
 		b.ewma = frac
 		b.seeded = true
 	} else {
-		b.ewma = b.cfg.Alpha*frac + (1-b.cfg.Alpha)*b.ewma
+		b.ewma = ewmaAlpha*frac + (1-ewmaAlpha)*b.ewma
 	}
 	b.samples += n
 	switch b.state {
 	case StateClosed:
-		if b.samples >= b.cfg.MinSamples && b.ewma > openAbove {
+		if b.samples >= minSamples && b.ewma > openAbove {
 			b.transitionTo(now, StateOpen)
 		}
 	case StateHalfOpen:
@@ -152,14 +141,14 @@ func (b *Breaker) Observe(now uint64, completed, timedOut int) State {
 }
 
 // Admit answers whether the shard may take the next arrival: always while
-// closed, never while open, one probe in every ProbeEvery while half-open.
+// closed, never while open, one probe in every probeEvery while half-open.
 func (b *Breaker) Admit() bool {
 	switch b.state {
 	case StateOpen:
 		return false
 	case StateHalfOpen:
 		b.probeN++
-		return b.probeN%b.cfg.ProbeEvery == 1
+		return b.probeN%probeEvery == 1
 	}
 	return true
 }

@@ -185,12 +185,18 @@ type Spec struct {
 	RandN    int
 }
 
+// maxRandEpisodes caps rand:<seed>:<episodes>. Random draws every requested
+// episode and keeps only those that overlap nothing earlier on their shard,
+// so a faultN run at tiny scale keeps a few dozen however many are drawn;
+// the cap sits far above that and bounds the time spent drawing.
+const maxRandEpisodes = 4096
+
 // ParseSpec parses the -faults flag grammar: a comma-separated episode list
 //
 //	kind:shard@start+dur[xfactor]   e.g. slow:0@60000+120000x4
 //
-// or a seeded random request rand:<seed>[:<episodes>]. Cycle counts accept a
-// k/M suffix (×1e3/×1e6).
+// or a seeded random request rand:<seed>[:<episodes>] of at most
+// maxRandEpisodes episodes. Cycle counts accept a k/M suffix (×1e3/×1e6).
 func ParseSpec(spec string) (Spec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -204,7 +210,7 @@ func ParseSpec(spec string) (Spec, error) {
 		}
 		n := 4
 		if hasN {
-			if n, err = strconv.Atoi(nStr); err != nil || n <= 0 {
+			if n, err = strconv.Atoi(nStr); err != nil || n <= 0 || n > maxRandEpisodes {
 				return Spec{}, fmt.Errorf("fault: bad rand episode count %q", nStr)
 			}
 		}
@@ -381,8 +387,8 @@ func (t *Timeline) Advance(now uint64, apply func(ep Episode, begin bool)) {
 	}
 }
 
-// Active returns the currently active episode, if any.
-func (t *Timeline) Active() (Episode, bool) {
+// current returns the currently active episode, if any.
+func (t *Timeline) current() (Episode, bool) {
 	if t.active < 0 {
 		return Episode{}, false
 	}

@@ -57,6 +57,7 @@ var parseSpecCases = []struct {
 	{name: "empty spec", spec: "", wantErr: "empty schedule"},
 	{name: "bad rand seed", spec: "rand:nope", wantErr: "bad rand seed"},
 	{name: "bad rand count", spec: "rand:7:zero", wantErr: "bad rand episode count"},
+	{name: "rand count above the cap", spec: "rand:7:4097", wantErr: "bad rand episode count"},
 }
 
 func TestParseSpec(t *testing.T) {
@@ -189,7 +190,7 @@ func TestTimelineAdvance(t *testing.T) {
 	if want := []change{{Slow, true}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	if ep, ok := tl.Active(); !ok || ep.Kind != Slow {
+	if ep, ok := tl.current(); !ok || ep.Kind != Slow {
 		t.Fatalf("active = %v, %v", ep, ok)
 	}
 	// A step over the slow end and the whole crash episode reports all three
@@ -200,7 +201,7 @@ func TestTimelineAdvance(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	if _, ok := tl.Active(); ok {
+	if _, ok := tl.current(); ok {
 		t.Fatal("nothing should be active after everything ended")
 	}
 }
@@ -250,7 +251,7 @@ func TestRetryPolicyDelay(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(2, BreakerConfig{Cooldown: 1000, MinSamples: 8, ProbeEvery: 4})
+	b := NewBreaker(2, BreakerConfig{Cooldown: 1000})
 	if b.State() != StateClosed {
 		t.Fatal("breakers start closed")
 	}
@@ -277,15 +278,15 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != StateHalfOpen {
 		t.Fatalf("state = %v after cooldown", b.State())
 	}
-	// Half-open admits one probe in every ProbeEvery arrivals.
+	// Half-open admits one probe in every probeEvery arrivals.
 	admits := 0
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*probeEvery; i++ {
 		if b.Admit() {
 			admits++
 		}
 	}
 	if admits != 2 {
-		t.Fatalf("half-open admitted %d of 8, want 2", admits)
+		t.Fatalf("half-open admitted %d of %d, want 2", admits, 2*probeEvery)
 	}
 	// Successful probes close it.
 	for now := uint64(1400); b.State() == StateHalfOpen; now += 100 {
@@ -309,8 +310,8 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerHalfOpenReopens(t *testing.T) {
-	b := NewBreaker(0, BreakerConfig{Cooldown: 100, MinSamples: 4})
-	b.Observe(10, 0, 10) // opens
+	b := NewBreaker(0, BreakerConfig{Cooldown: 100})
+	b.Observe(10, 0, minSamples) // opens
 	if b.State() != StateOpen {
 		t.Fatalf("state = %v", b.State())
 	}

@@ -202,9 +202,9 @@ func (t *AggTable) Group(n arena.Addr) Aggregates {
 	}
 }
 
-// UpsertRaw folds one tuple into the table without charging simulator time.
+// upsertRaw folds one tuple into the table without charging simulator time.
 // It is the reference path used to validate the engine-driven group-by.
-func (t *AggTable) UpsertRaw(key, payload uint64) {
+func (t *AggTable) upsertRaw(key, payload uint64) {
 	n := t.BucketAddr(t.Hash(key))
 	for {
 		if !t.NodeUsed(n) {

@@ -12,7 +12,7 @@ func TestAggSingleGroup(t *testing.T) {
 	a := arena.New()
 	tab := NewAgg(a, 4)
 	for _, v := range []uint64{5, 1, 9} {
-		tab.UpsertRaw(42, v)
+		tab.upsertRaw(42, v)
 	}
 	g, ok := tab.LookupGroupRaw(42)
 	if !ok {
@@ -33,9 +33,9 @@ func TestAggCollisionsChain(t *testing.T) {
 	a := arena.New()
 	tab := NewAgg(a, 2)
 	// Keys 1, 3, 5 all hash to bucket 0 with 2 buckets.
-	tab.UpsertRaw(1, 10)
-	tab.UpsertRaw(3, 30)
-	tab.UpsertRaw(5, 50)
+	tab.upsertRaw(1, 10)
+	tab.upsertRaw(3, 30)
+	tab.upsertRaw(5, 50)
 	if tab.OverflowNodes() == 0 {
 		t.Fatal("collisions should have allocated overflow nodes")
 	}
@@ -63,7 +63,7 @@ func TestAggMatchesMapReference(t *testing.T) {
 		}
 		ref := make(map[uint64]*agg)
 		for _, tup := range rel.Tuples {
-			tab.UpsertRaw(tup.Key, tup.Payload)
+			tab.upsertRaw(tup.Key, tup.Payload)
 			r := ref[tup.Key]
 			if r == nil {
 				r = &agg{min: tup.Payload, max: tup.Payload}

@@ -322,9 +322,9 @@ func (t *Table) LookupAllRaw(key uint64) []uint64 {
 	return out
 }
 
-// ChainLength returns the number of nodes in the chain of the bucket that
+// chainLength returns the number of nodes in the chain of the bucket that
 // key hashes to (used by tests and by the Figure 3 workload construction).
-func (t *Table) ChainLength(key uint64) int {
+func (t *Table) chainLength(key uint64) int {
 	n := t.BucketAddr(t.Hash(key))
 	length := 0
 	for n != 0 {

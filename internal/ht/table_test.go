@@ -53,8 +53,8 @@ func TestInsertAndLookupSingleBucket(t *testing.T) {
 	if tab.OverflowNodes() != 1 {
 		t.Fatalf("overflow nodes = %d, want 1", tab.OverflowNodes())
 	}
-	if tab.ChainLength(1) != 2 {
-		t.Fatalf("chain length = %d, want 2", tab.ChainLength(1))
+	if tab.chainLength(1) != 2 {
+		t.Fatalf("chain length = %d, want 2", tab.chainLength(1))
 	}
 	if got := tab.LookupAllRaw(3); len(got) != 0 {
 		t.Fatalf("lookup of absent key returned %v", got)
@@ -83,7 +83,7 @@ func TestUniformDenseKeysGiveExactChains(t *testing.T) {
 		tab.InsertRaw(k, k)
 	}
 	for k := uint64(1); k <= n; k++ {
-		if got := tab.ChainLength(k); got != 2 {
+		if got := tab.chainLength(k); got != 2 {
 			t.Fatalf("key %d chain length = %d, want 2", k, got)
 		}
 	}

@@ -286,9 +286,9 @@ func (c *Cache) InsertSpan(first uint64, n int) {
 	}
 }
 
-// Invalidate removes line from the cache if present, closing the gap so the
+// invalidate removes line from the cache if present, closing the gap so the
 // empty way moves to the tail.
-func (c *Cache) Invalidate(line uint64) {
+func (c *Cache) invalidate(line uint64) {
 	c.flush()
 	tag := tagOf(line)
 	set := c.set(line)

@@ -94,8 +94,8 @@ func replayCacheOps(sets, ways int, ops []byte) error {
 				return fmt.Errorf("op %d %s = %v, want %v", i/3, desc, got, want)
 			}
 		case 4:
-			desc = fmt.Sprintf("Invalidate(%d)", line)
-			c.Invalidate(line)
+			desc = fmt.Sprintf("invalidate(%d)", line)
+			c.invalidate(line)
 			ref.invalidate(line)
 		case 5:
 			desc = "Reset()"

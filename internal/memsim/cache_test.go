@@ -94,12 +94,12 @@ func TestCacheInsertExistingLineDoesNotEvict(t *testing.T) {
 func TestCacheInvalidate(t *testing.T) {
 	c := NewCache("t", testCacheConfig(4<<10, 4, 4))
 	c.Insert(42)
-	c.Invalidate(42)
+	c.invalidate(42)
 	if c.Contains(42) {
-		t.Fatal("line still present after Invalidate")
+		t.Fatal("line still present after invalidate")
 	}
 	// Invalidating an absent line must be a no-op.
-	c.Invalidate(43)
+	c.invalidate(43)
 }
 
 func TestCacheReset(t *testing.T) {

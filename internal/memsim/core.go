@@ -42,7 +42,7 @@ type Core struct {
 
 	// oooHide is the number of stall cycles per demand access that the
 	// out-of-order window hides by executing independent instructions; see
-	// the cost-model discussion in DESIGN.md.
+	// defaultOoOHide and Config.IssueWidth.
 	oooHide uint64
 
 	// streams are the hardware streaming prefetcher's trackers: when a
@@ -257,13 +257,6 @@ func (c *Core) SetSMTSharers(n int) {
 	}
 	c.mshr = NewMSHRFile(budget)
 }
-
-// SMTSharers returns the declared sharer count.
-func (c *Core) SMTSharers() int { return c.smtSharers }
-
-// SetOoOHideCycles overrides the per-access latency hidden by the
-// out-of-order window (used by ablation experiments).
-func (c *Core) SetOoOHideCycles(n uint64) { c.oooHide = n }
 
 // Config returns the machine configuration this core simulates.
 func (c *Core) Config() *Config { return c.cfg }

@@ -31,7 +31,7 @@ func newTestCore(t *testing.T) (*System, *Core) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	c := sys.NewCore()
-	c.SetOoOHideCycles(0)
+	c.oooHide = 0
 	return sys, c
 }
 
@@ -156,7 +156,7 @@ func TestT4DropsPrefetchThatHitsOnChip(t *testing.T) {
 	cfg.DropPrefetchOnCacheHit = true
 	sys := MustSystem(cfg)
 	c := sys.NewCore()
-	c.SetOoOHideCycles(0)
+	c.oooHide = 0
 
 	// Load a line, then evict it from L1 by loading conflicting lines
 	// (L1 is direct-mapped with 4 sets in the test config).
@@ -179,8 +179,8 @@ func TestSMTSharersSlowIssueAndSplitMSHRs(t *testing.T) {
 	sys := MustSystem(cfg)
 	c := sys.NewCore()
 	c.SetSMTSharers(2)
-	if c.SMTSharers() != 2 {
-		t.Fatalf("SMTSharers = %d", c.SMTSharers())
+	if c.smtSharers != 2 {
+		t.Fatalf("smtSharers = %d", c.smtSharers)
 	}
 	c.Instr(4)
 	if c.Cycle() != 4 {
@@ -195,7 +195,7 @@ func TestOoOHidingShortensDemandStalls(t *testing.T) {
 	cfg := testConfig()
 	sys := MustSystem(cfg)
 	c := sys.NewCore()
-	c.SetOoOHideCycles(1000) // hide everything
+	c.oooHide = 1000 // hide everything
 	c.Load(0, 8)
 	if c.Cycle() != 1 {
 		t.Fatalf("with full hiding a load should cost only its instruction, got %d cycles", c.Cycle())
@@ -255,12 +255,12 @@ func TestSystemSetActiveThreads(t *testing.T) {
 	c := sys.NewCore()
 
 	sys.SetActiveThreads(2, c)
-	if c.SMTSharers() != 1 {
-		t.Fatalf("2 threads on 2 cores should not share, got %d sharers", c.SMTSharers())
+	if c.smtSharers != 1 {
+		t.Fatalf("2 threads on 2 cores should not share, got %d sharers", c.smtSharers)
 	}
 	sys.SetActiveThreads(3, c)
-	if c.SMTSharers() != 2 {
-		t.Fatalf("3 threads on 2 cores: busiest core has 2, got %d", c.SMTSharers())
+	if c.smtSharers != 2 {
+		t.Fatalf("3 threads on 2 cores: busiest core has 2, got %d", c.smtSharers)
 	}
 	if sys.Fabric().ActiveThreads() != 3 {
 		t.Fatalf("fabric sharers = %d, want 3", sys.Fabric().ActiveThreads())
@@ -338,7 +338,7 @@ func TestStatsDerivedMetrics(t *testing.T) {
 		t.Fatalf("MSHR hits/k-instr = %v", s.MSHRHitsPerKiloInstr())
 	}
 	var zero Stats
-	if zero.IPC() != 0 || zero.MSHRHitsPerKiloInstr() != 0 || zero.MemoryAccessesPerLoad() != 0 {
+	if zero.IPC() != 0 || zero.MSHRHitsPerKiloInstr() != 0 || zero.memoryAccessesPerLoad() != 0 {
 		t.Fatal("zero stats should yield zero ratios")
 	}
 	other := Stats{Cycles: 1, Instructions: 2, Loads: 3, MemAccesses: 1}
@@ -349,8 +349,8 @@ func TestStatsDerivedMetrics(t *testing.T) {
 	if s.String() == "" {
 		t.Fatal("String should render something")
 	}
-	if other.MemoryAccessesPerLoad() <= 0 {
-		t.Fatal("MemoryAccessesPerLoad should be positive")
+	if other.memoryAccessesPerLoad() <= 0 {
+		t.Fatal("memoryAccessesPerLoad should be positive")
 	}
 }
 

@@ -40,9 +40,6 @@ func (f *Fabric) SetActiveThreads(n int) {
 // ActiveThreads returns the currently declared sharer count.
 func (f *Fabric) ActiveThreads() int { return f.threadsPerSocket }
 
-// QueueEntries returns the queue capacity.
-func (f *Fabric) QueueEntries() int { return f.queueEntries }
-
 // OffchipLatency returns the latency of an off-chip access when the issuing
 // thread already has `outstanding` off-chip misses in flight (including the
 // one being issued), given the uncontended latency base.
@@ -60,9 +57,6 @@ func (f *Fabric) OffchipLatency(base uint64, outstanding int) uint64 {
 	f.extraCycles += lat - base
 	return lat
 }
-
-// ExtraCycles returns the cumulative queueing delay the fabric has added.
-func (f *Fabric) ExtraCycles() uint64 { return f.extraCycles }
 
 // Reset clears accumulated statistics (the sharer count is preserved).
 func (f *Fabric) Reset() { f.extraCycles = 0 }

@@ -7,7 +7,7 @@ func TestFabricUncontended(t *testing.T) {
 	if got := f.OffchipLatency(200, 10); got != 200 {
 		t.Fatalf("uncontended latency = %d, want 200", got)
 	}
-	if f.ExtraCycles() != 0 {
+	if f.extraCycles != 0 {
 		t.Fatal("no extra cycles expected without contention")
 	}
 }
@@ -21,8 +21,8 @@ func TestFabricContention(t *testing.T) {
 	if got != want {
 		t.Fatalf("contended latency = %d, want %d", got, want)
 	}
-	if f.ExtraCycles() != want-200 {
-		t.Fatalf("ExtraCycles = %d, want %d", f.ExtraCycles(), want-200)
+	if f.extraCycles != want-200 {
+		t.Fatalf("extraCycles = %d, want %d", f.extraCycles, want-200)
 	}
 }
 
@@ -50,11 +50,11 @@ func TestFabricDefensiveInputs(t *testing.T) {
 	if got := f.OffchipLatency(100, 0); got != 100 {
 		t.Fatalf("latency with zero outstanding = %d, want 100", got)
 	}
-	if f.QueueEntries() != 8 {
-		t.Fatalf("QueueEntries = %d", f.QueueEntries())
+	if f.queueEntries != 8 {
+		t.Fatalf("queueEntries = %d", f.queueEntries)
 	}
 	f.Reset()
-	if f.ExtraCycles() != 0 {
+	if f.extraCycles != 0 {
 		t.Fatal("Reset did not clear extra cycles")
 	}
 }

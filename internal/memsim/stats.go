@@ -61,9 +61,9 @@ func (s Stats) MSHRHitsPerKiloInstr() float64 {
 	return 1000 * float64(s.MSHRHits) / float64(s.Instructions)
 }
 
-// MemoryAccessesPerLoad returns the fraction of demand loads that reached
+// memoryAccessesPerLoad returns the fraction of demand loads that reached
 // memory, a locality summary used in sanity checks.
-func (s Stats) MemoryAccessesPerLoad() float64 {
+func (s Stats) memoryAccessesPerLoad() float64 {
 	if s.Loads == 0 {
 		return 0
 	}

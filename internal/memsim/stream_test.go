@@ -9,7 +9,7 @@ func TestStreamPrefetcherMakesSequentialScansCheap(t *testing.T) {
 	cfg := testConfig()
 	sys := MustSystem(cfg)
 	c := sys.NewCore()
-	c.SetOoOHideCycles(0)
+	c.oooHide = 0
 
 	const lines = 2000
 	for i := 0; i < lines; i++ {
@@ -21,7 +21,7 @@ func TestStreamPrefetcherMakesSequentialScansCheap(t *testing.T) {
 	}
 
 	c2 := sys.NewCore()
-	c2.SetOoOHideCycles(0)
+	c2.oooHide = 0
 	for i := 0; i < lines; i++ {
 		// Large, non-sequential stride: every access is a fresh miss.
 		c2.Load(Addr(64+uint64(i)*97*LineSize), 8)
@@ -67,7 +67,7 @@ func TestStreamPrefetcherCanBeDisabled(t *testing.T) {
 func TestStreamPrefetcherTracksMultipleStreams(t *testing.T) {
 	sys := MustSystem(testConfig())
 	c := sys.NewCore()
-	c.SetOoOHideCycles(0)
+	c.oooHide = 0
 	baseA := Addr(1 << 20)
 	baseB := Addr(1 << 24)
 	for i := 0; i < 500; i++ {
@@ -107,7 +107,7 @@ func TestOffchipDemandDrivesFabricContention(t *testing.T) {
 	run := func(threads int, prefetches int) uint64 {
 		sys := MustSystem(cfg)
 		c := sys.NewCore()
-		c.SetOoOHideCycles(0)
+		c.oooHide = 0
 		sys.SetActiveThreads(threads, c)
 		for i := 0; i < 3000; i++ {
 			if prefetches > 0 {

@@ -112,9 +112,6 @@ func eachPart(parts int, f func(p int)) {
 	wg.Wait()
 }
 
-// NumParts returns the number of partitions.
-func (pj *PartitionedHashJoin) NumParts() int { return len(pj.Parts) }
-
 // ProbeTuples returns the total probe cardinality across partitions.
 func (pj *PartitionedHashJoin) ProbeTuples() int {
 	n := 0

@@ -19,8 +19,8 @@ func TestPartitionJoinRoutesEveryTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	pj := ops.PartitionJoin(build, probe, 4)
-	if pj.NumParts() != 4 {
-		t.Fatalf("NumParts = %d, want 4", pj.NumParts())
+	if len(pj.Parts) != 4 {
+		t.Fatalf("len(Parts) = %d, want 4", len(pj.Parts))
 	}
 	if pj.ProbeTuples() != probe.Len() {
 		t.Fatalf("partitions hold %d probe tuples, want %d", pj.ProbeTuples(), probe.Len())

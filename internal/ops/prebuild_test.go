@@ -166,8 +166,8 @@ func TestPartitionJoinMatchesSerialBuild(t *testing.T) {
 		pj := PartitionJoin(build, probe, parts)
 		pj.PrebuildRaw()
 		joins, rids := serialPartitionJoin(build, probe, parts)
-		if pj.NumParts() != parts {
-			t.Fatalf("parts=%d: %d partitions", parts, pj.NumParts())
+		if len(pj.Parts) != parts {
+			t.Fatalf("parts=%d: %d partitions", parts, len(pj.Parts))
 		}
 		for p := range joins {
 			sameArena(t, "partition", pj.Parts[p], joins[p])

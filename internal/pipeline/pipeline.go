@@ -160,14 +160,6 @@ func NewBuilder(a *arena.Arena) *Builder {
 	return &Builder{a: a, burst: defaultBurst, pipeCap: defaultPipeCap}
 }
 
-// Burst sets the pump lease size (admissions per upstream lease).
-func (b *Builder) Burst(n int) *Builder {
-	if n > 0 {
-		b.burst = n
-	}
-	return b
-}
-
 // PipeCap sets the per-pipe row bound (the backpressure threshold). It must
 // be set before the first Build: the charged pipe windows are sized to the
 // capacity when they are allocated.

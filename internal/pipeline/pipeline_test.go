@@ -339,7 +339,8 @@ func TestPipelineStaticRunsAreDeterministic(t *testing.T) {
 func TestPipelineBackpressureTinyPipes(t *testing.T) {
 	w := newChainWorkload()
 	wantCount, wantSum := w.seqChain(t)
-	b := w.builder().Burst(4).PipeCap(5)
+	b := w.builder().PipeCap(5)
+	b.burst = 4 // pump lease: admissions per upstream lease
 	out := ops.NewOutput(w.a, false)
 	p := b.Build(out)
 	p.Run(newCore(), []StageConfig{{Tech: ops.AMAC}, {Tech: ops.AMAC}, {Tech: ops.AMAC}})
@@ -530,8 +531,12 @@ func TestPipelineServeParallelDeterministic(t *testing.T) {
 				Latency:  lats[i],
 			})
 		}
-		ServeParallel(hw, pipes, nil, func(wk int, c *memsim.Core, p *Pipeline) {
-			p.Run(c, []StageConfig{{Tech: ops.AMAC}, {Tech: ops.AMAC}})
+		cores := make([]*memsim.Core, workers)
+		for i := range cores {
+			cores[i] = memsim.MustSystem(hw.ShareLLC(workers)).NewCore()
+		}
+		exec.RunParallel(cores, func(wk int, c *memsim.Core) {
+			pipes[wk].Run(c, []StageConfig{{Tech: ops.AMAC}, {Tech: ops.AMAC}})
 		})
 		var merged serve.Recorder
 		for i := 0; i < workers; i++ {

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"amac/internal/exec"
-	"amac/internal/memsim"
 	"amac/internal/ops"
 	"amac/internal/serve"
 )
@@ -32,47 +30,4 @@ type ServingSpec struct {
 	// counts, drops, depth samples, queue waits, and the ROOT operator's
 	// own completion latencies (not end-to-end).
 	Queue *serve.Recorder
-}
-
-// ServeParallel runs one pre-built serving pipeline per worker, each on a
-// private core of the shared-LLC socket model, concurrently on real
-// goroutines — the pipeline analogue of serve.Run. Each worker's pipeline
-// must live entirely in its OWN arena, probed structures included: a run
-// writes its arena image (output collectors, pipes and latches live there),
-// and arena writes need exclusive access, so the supported sharing model is
-// a private copy per worker, exactly as ops.PartitionJoin does for the single-operator
-// layer. That isolation is also what makes the merged result deterministic
-// regardless of the goroutine schedule.
-//
-// prepare, if non-nil, warms each worker's core before measurement; body
-// then drives that worker's pipeline (p.Run or p.RunAdaptive) with its own
-// recorders. Per-worker latency/queue recorders live in each pipeline's
-// ServingSpec; merge them after ServeParallel returns.
-func ServeParallel(hw memsim.Config, pipes []*Pipeline,
-	prepare func(w int, c *memsim.Core),
-	body func(w int, c *memsim.Core, p *Pipeline),
-) exec.ParallelStats {
-	n := len(pipes)
-	if n == 0 {
-		return exec.ParallelStats{}
-	}
-	shared := hw.ShareLLC(n)
-	pooled := make([]*memsim.PooledSystem, n)
-	cores := make([]*memsim.Core, n)
-	for w := 0; w < n; w++ {
-		pooled[w] = memsim.AcquireSystem(shared)
-		cores[w] = pooled[w].Core
-		pooled[w].Sys.SetActiveThreads(n, cores[w])
-		if prepare != nil {
-			prepare(w, cores[w])
-		}
-		cores[w].ResetStats()
-	}
-	ps := exec.RunParallel(cores, func(w int, c *memsim.Core) {
-		body(w, c, pipes[w])
-	})
-	for w := 0; w < n; w++ {
-		pooled[w].Release()
-	}
-	return ps
 }

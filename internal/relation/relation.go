@@ -45,8 +45,8 @@ func (r *Relation) Len() int { return len(r.Tuples) }
 // Bytes returns the relation's size in bytes.
 func (r *Relation) Bytes() int { return len(r.Tuples) * TupleBytes }
 
-// MinKey returns the smallest key present, or 0 for an empty relation.
-func (r *Relation) MinKey() uint64 {
+// minKey returns the smallest key present, or 0 for an empty relation.
+func (r *Relation) minKey() uint64 {
 	if len(r.Tuples) == 0 {
 		return 0
 	}
@@ -59,8 +59,8 @@ func (r *Relation) MinKey() uint64 {
 	return min
 }
 
-// MaxKey returns the largest key present, or 0 for an empty relation.
-func (r *Relation) MaxKey() uint64 {
+// maxKey returns the largest key present, or 0 for an empty relation.
+func (r *Relation) maxKey() uint64 {
 	max := uint64(0)
 	for _, t := range r.Tuples {
 		if t.Key > max {
@@ -70,8 +70,8 @@ func (r *Relation) MaxKey() uint64 {
 	return max
 }
 
-// DistinctKeys returns the number of distinct key values.
-func (r *Relation) DistinctKeys() int {
+// distinctKeys returns the number of distinct key values.
+func (r *Relation) distinctKeys() int {
 	seen := make(map[uint64]struct{}, len(r.Tuples))
 	for _, t := range r.Tuples {
 		seen[t.Key] = struct{}{}

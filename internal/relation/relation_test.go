@@ -15,14 +15,14 @@ func TestBuildJoinUniformUniqueForeignKey(t *testing.T) {
 	if build.Len() != 1<<10 || probe.Len() != 1<<10 {
 		t.Fatalf("sizes %d/%d", build.Len(), probe.Len())
 	}
-	if build.DistinctKeys() != build.Len() {
+	if build.distinctKeys() != build.Len() {
 		t.Fatal("uniform build relation must have unique keys")
 	}
-	if probe.DistinctKeys() != probe.Len() {
+	if probe.distinctKeys() != probe.Len() {
 		t.Fatal("equal-size uniform probe relation must contain each key once")
 	}
-	if build.MinKey() != 1 || build.MaxKey() != uint64(build.Len()) {
-		t.Fatalf("dense key domain expected, got [%d,%d]", build.MinKey(), build.MaxKey())
+	if build.minKey() != 1 || build.maxKey() != uint64(build.Len()) {
+		t.Fatalf("dense key domain expected, got [%d,%d]", build.minKey(), build.maxKey())
 	}
 }
 
@@ -55,7 +55,7 @@ func TestBuildJoinSkewedBuildHasDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if build.DistinctKeys() >= build.Len() {
+	if build.distinctKeys() >= build.Len() {
 		t.Fatal("Zipf(1.0) build keys should contain duplicates")
 	}
 }
@@ -66,7 +66,7 @@ func TestBuildJoinSmallerBuildRestrictsProbeRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.MaxKey() > build.MaxKey() {
+	if probe.maxKey() > build.maxKey() {
 		t.Fatal("probe keys must stay within the build key range")
 	}
 }
@@ -205,7 +205,7 @@ func TestBuildIndexWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if build.DistinctKeys() != build.Len() {
+	if build.distinctKeys() != build.Len() {
 		t.Fatal("index build keys must be unique")
 	}
 	if probe.Len() != build.Len() {
@@ -231,14 +231,14 @@ func TestBuildIndexWorkload(t *testing.T) {
 
 func TestRelationHelpers(t *testing.T) {
 	r := &Relation{Tuples: []Tuple{{Key: 5, Payload: 1}, {Key: 2, Payload: 2}, {Key: 9, Payload: 3}}}
-	if r.MinKey() != 2 || r.MaxKey() != 9 {
-		t.Fatalf("min/max = %d/%d", r.MinKey(), r.MaxKey())
+	if r.minKey() != 2 || r.maxKey() != 9 {
+		t.Fatalf("min/max = %d/%d", r.minKey(), r.maxKey())
 	}
 	if r.Bytes() != 3*TupleBytes {
 		t.Fatalf("Bytes = %d", r.Bytes())
 	}
 	empty := &Relation{}
-	if empty.MinKey() != 0 || empty.MaxKey() != 0 || empty.DistinctKeys() != 0 {
+	if empty.minKey() != 0 || empty.maxKey() != 0 || empty.distinctKeys() != 0 {
 		t.Fatal("empty relation helpers wrong")
 	}
 }

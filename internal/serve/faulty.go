@@ -520,6 +520,7 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 
 	baseLat := cores[0].MemLatency()
 	var wg sync.WaitGroup
+	var wake uint64 // earliest thaw when a round found every undone shard down
 	for {
 		allDone := true
 		for w := 0; w < n; w++ {
@@ -535,7 +536,7 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		// routed run is resolved, the engines drain unbounded.
 		t := ^uint64(0)
 		if rounds && !closed {
-			t = nextRoundEdge(cores)
+			t = max(nextRoundEdge(cores), wake)
 		}
 		// Fault boundaries first, in shard order, then thaw.
 		for w := 0; w < n; w++ {
@@ -586,6 +587,22 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 					cores[w].AdvanceTo(downUntil[w])
 					p.Pop()
 				}
+			}
+		}
+		// With every undone shard down no clock moves, so the next round
+		// edge would be this one again; the next round starts at the
+		// earliest thaw instead.
+		wake = 0
+		for w := 0; w < n; w++ {
+			if engDone[w] {
+				continue
+			}
+			if !down[w] {
+				wake = 0
+				break
+			}
+			if wake == 0 || downUntil[w] < wake {
+				wake = downUntil[w]
 			}
 		}
 		// Run every live shard up to the round edge: in shard order when a

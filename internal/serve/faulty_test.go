@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"amac/internal/adapt"
 	"amac/internal/core"
@@ -274,7 +275,7 @@ func TestRunFaultySlowShardRecovery(t *testing.T) {
 			Deadline: 2500,
 			Retry:    fault.RetryPolicy{Max: 2, Backoff: 500},
 			Hedge:    fault.HedgePolicy{Delay: 1500},
-			Breaker:  &fault.BreakerConfig{Cooldown: 8192, MinSamples: 4, Alpha: 0.5},
+			Breaker:  &fault.BreakerConfig{Cooldown: 8192},
 			Sched:    sched,
 		}, workers)
 	}
@@ -342,6 +343,61 @@ func TestRunFaultyCrashRetries(t *testing.T) {
 	}
 	if rec.Completed < uint64(n*9/10) {
 		t.Fatalf("retries should recover most traffic: completed=%d of %d", rec.Completed, n)
+	}
+}
+
+// TestRunFaultyAllShardsDown overlaps a down episode on every shard, so for
+// a while no shard's clock moves. The coordinator must jump to the earliest
+// thaw instead of re-running the same round edge forever, with and without
+// a router, and still account every request exactly once.
+func TestRunFaultyAllShardsDown(t *testing.T) {
+	const n, W = 240, 3
+	faults := &fault.Schedule{Episodes: []fault.Episode{
+		{Kind: fault.Crash, Shard: 0, Start: 4000, Dur: 20000},
+		{Kind: fault.Freeze, Shard: 1, Start: 6000, Dur: 10000},
+		{Kind: fault.Crash, Shard: 2, Start: 7000, Dur: 3000},
+		{Kind: fault.Crash, Shard: 2, Start: 11000, Dur: 12000},
+	}}
+	for _, tc := range []struct {
+		name  string
+		retry fault.RetryPolicy
+	}{
+		{"naive", fault.RetryPolicy{}},
+		{"retry", fault.RetryPolicy{Max: 2, Backoff: 500}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			workers, sched := faultyWorkers(n, W, 300, 3)
+			done := make(chan serve.Result, 1)
+			go func() {
+				done <- serve.RunFaulty(serve.FaultyOptions{
+					Options: serve.Options{
+						Hardware:  memsim.XeonX5670(),
+						Technique: ops.AMAC,
+						Window:    6,
+					},
+					Faults: faults,
+					Retry:  tc.retry,
+					Sched:  sched,
+				}, workers)
+			}()
+			var res serve.Result
+			select {
+			case res = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("RunFaulty did not finish with every shard down at once")
+			}
+			if res.Sched.Initiated != res.Sched.Completed+res.Sched.TimedOut+res.Sched.Aborted {
+				t.Fatalf("slot leak: %+v", res.Sched)
+			}
+			rec := res.Latency
+			if rec.Completed+rec.TimedOut+rec.Failed != n {
+				t.Fatalf("accounting: completed=%d timedOut=%d failed=%d, want sum %d",
+					rec.Completed, rec.TimedOut, rec.Failed, n)
+			}
+			if res.Faults.Episodes != len(faults.Episodes) {
+				t.Fatalf("applied %d episodes, want %d", res.Faults.Episodes, len(faults.Episodes))
+			}
+		})
 	}
 }
 

@@ -180,8 +180,8 @@ func (r *Recorder) MeanQueueWait() float64 {
 	return float64(r.SumQueueWait) / float64(r.Completed)
 }
 
-// MeanDepth is the average queue depth observed across engine pulls.
-func (r *Recorder) MeanDepth() float64 {
+// meanDepth is the average queue depth observed across engine pulls.
+func (r *Recorder) meanDepth() float64 {
 	if r.DepthSamples == 0 {
 		return 0
 	}

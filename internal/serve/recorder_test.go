@@ -94,7 +94,7 @@ func TestRecorderQuantileNeverExceedsMax(t *testing.T) {
 
 func TestRecorderEmpty(t *testing.T) {
 	var r Recorder
-	if r.P50() != 0 || r.P99() != 0 || r.MeanLatency() != 0 || r.MeanDepth() != 0 || r.DropFraction() != 0 {
+	if r.P50() != 0 || r.P99() != 0 || r.MeanLatency() != 0 || r.meanDepth() != 0 || r.DropFraction() != 0 {
 		t.Fatal("empty recorder must report zeros")
 	}
 	if r.ThroughputPerCycle(0) != 0 {

@@ -95,11 +95,11 @@ func (l *List) NodeKey(n arena.Addr) uint64 { return l.a.ReadU64(n + offKey) }
 // NodePayload returns the payload stored at node n.
 func (l *List) NodePayload(n arena.Addr) uint64 { return l.a.ReadU64(n + offPayload) }
 
-// SetPayload overwrites the payload at node n.
-func (l *List) SetPayload(n arena.Addr, v uint64) { l.a.WriteU64(n+offPayload, v) }
+// setPayload overwrites the payload at node n.
+func (l *List) setPayload(n arena.Addr, v uint64) { l.a.WriteU64(n+offPayload, v) }
 
-// NodeLevel returns the tower height of node n.
-func (l *List) NodeLevel(n arena.Addr) int { return int(l.a.ReadU8(n + offLevel)) }
+// nodeLevel returns the tower height of node n.
+func (l *List) nodeLevel(n arena.Addr) int { return int(l.a.ReadU8(n + offLevel)) }
 
 // Next returns node n's successor at the given level (0-based), or 0.
 func (l *List) Next(n arena.Addr, level int) arena.Addr {

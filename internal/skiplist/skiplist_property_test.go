@@ -74,8 +74,8 @@ func TestTowerHeightInvariant(t *testing.T) {
 	}
 	for lvl := 0; lvl < l.Level(); lvl++ {
 		for n := l.Next(l.Head(), lvl); n != 0; n = l.Next(n, lvl) {
-			if l.NodeLevel(n) < lvl+1 {
-				t.Fatalf("node with tower height %d reached from level %d", l.NodeLevel(n), lvl)
+			if l.nodeLevel(n) < lvl+1 {
+				t.Fatalf("node with tower height %d reached from level %d", l.nodeLevel(n), lvl)
 			}
 		}
 	}

@@ -108,8 +108,8 @@ func TestHigherLevelsAreSubsetsOfLevelZero(t *testing.T) {
 			if k <= prev {
 				t.Fatalf("level %d not sorted", lvl)
 			}
-			if l.NodeLevel(n) <= lvl {
-				t.Fatalf("node with height %d linked at level %d", l.NodeLevel(n), lvl)
+			if l.nodeLevel(n) <= lvl {
+				t.Fatalf("node with height %d linked at level %d", l.nodeLevel(n), lvl)
 			}
 			prev = k
 		}
@@ -160,12 +160,12 @@ func TestLatch(t *testing.T) {
 func TestNodeAccessors(t *testing.T) {
 	l := New(arena.New(), 6)
 	n := l.NewNode(9, 90, 3)
-	if l.NodeKey(n) != 9 || l.NodePayload(n) != 90 || l.NodeLevel(n) != 3 {
+	if l.NodeKey(n) != 9 || l.NodePayload(n) != 90 || l.nodeLevel(n) != 3 {
 		t.Fatal("node fields wrong")
 	}
-	l.SetPayload(n, 91)
+	l.setPayload(n, 91)
 	if l.NodePayload(n) != 91 {
-		t.Fatal("SetPayload failed")
+		t.Fatal("setPayload failed")
 	}
 	other := l.NewNode(11, 110, 1)
 	l.SetNext(n, 2, other)

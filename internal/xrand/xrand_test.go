@@ -150,8 +150,8 @@ func TestZipfSkewConcentratesMass(t *testing.T) {
 	if share < 0.10 || share > 0.50 {
 		t.Fatalf("top 1%% received %.1f%% of draws, expected strong but bounded concentration", share*100)
 	}
-	if ts := z.TopShare(0.01); math.Abs(ts-share) > 0.03 {
-		t.Fatalf("TopShare(1%%) = %.3f disagrees with empirical %.3f", ts, share)
+	if ts := z.topShare(0.01); math.Abs(ts-share) > 0.03 {
+		t.Fatalf("topShare(1%%) = %.3f disagrees with empirical %.3f", ts, share)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestZipfHigherThetaIsMoreSkewed(t *testing.T) {
 	n := uint64(10000)
 	z5 := NewZipf(New(1), 0.5, n)
 	z10 := NewZipf(New(1), 1.0, n)
-	if z10.TopShare(0.01) <= z5.TopShare(0.01) {
+	if z10.topShare(0.01) <= z5.topShare(0.01) {
 		t.Fatal("theta=1 must concentrate more mass in the head than theta=0.5")
 	}
 }
@@ -175,12 +175,12 @@ func TestZipfValuesInRange(t *testing.T) {
 
 func TestZipfTopShareBounds(t *testing.T) {
 	z := NewZipf(New(2), 0.5, 100)
-	if z.TopShare(0) != 0 || z.TopShare(1) != 1 || z.TopShare(2) != 1 {
-		t.Fatal("TopShare boundary handling wrong")
+	if z.topShare(0) != 0 || z.topShare(1) != 1 || z.topShare(2) != 1 {
+		t.Fatal("topShare boundary handling wrong")
 	}
 	u := NewZipf(New(2), 0, 100)
-	if u.TopShare(0.25) != 0.25 {
-		t.Fatal("uniform TopShare should equal the fraction")
+	if u.topShare(0.25) != 0.25 {
+		t.Fatal("uniform topShare should equal the fraction")
 	}
 }
 

@@ -112,11 +112,11 @@ func (z *Zipf) Next() uint64 {
 	return uint64(lo)
 }
 
-// TopShare returns the fraction of draws expected to land in the most
+// topShare returns the fraction of draws expected to land in the most
 // popular `top` fraction of the domain — e.g. the paper's observation that
 // with theta = 0.75 the most populous 1% of hash buckets hold 19% of the
 // build tuples. It is used by tests to validate the sampler.
-func (z *Zipf) TopShare(top float64) float64 {
+func (z *Zipf) topShare(top float64) float64 {
 	if top <= 0 {
 		return 0
 	}

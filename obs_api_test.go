@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"amac"
+	"amac/internal/adapt"
+	"amac/internal/obs"
+	"amac/internal/serve"
 )
 
 // hotColdJoin builds a phase-shifting workload through the public API: a
@@ -29,10 +32,10 @@ func hotColdJoin(t *testing.T) (*amac.HashJoin, *amac.Output) {
 	return join, amac.NewOutput(join.Arena, false)
 }
 
-// TestAdaptiveDecisionLogPublicAPI drives an adaptive run through the
-// exported API and reads the decision log back three ways: off the returned
-// AdaptiveInfo, off the controller, and as decision instants in an attached
-// trace. The log must open with a probe epoch, resolve it with a calibration
+// TestAdaptiveDecisionLogPublicAPI drives an exported AdaptiveController
+// through adapt.Run and reads the decision log back three ways: off the
+// returned adapt.Info, off the controller, and as decision instants in an
+// attached trace. The log must open with a probe epoch, resolve it with a calibration
 // or switch, and render human-readably.
 func TestAdaptiveDecisionLogPublicAPI(t *testing.T) {
 	join, out := hotColdJoin(t)
@@ -42,15 +45,15 @@ func TestAdaptiveDecisionLogPublicAPI(t *testing.T) {
 	trace := amac.NewTrace(0)
 	ctl.SetTrace(trace.Core("core 0"))
 
-	info := amac.RunAdaptive(c, join.ProbeMachine(out, false), ctl)
+	info := adapt.Run(c, join.ProbeMachine(out, false), ctl)
 
 	if len(info.Decisions) < 2 {
 		t.Fatalf("decision log holds %d entries, want at least probe-start + calibrate", len(info.Decisions))
 	}
-	if got := info.Decisions[0].Kind; got != amac.DecisionProbeStart {
-		t.Fatalf("first decision is %v, want %v", got, amac.DecisionProbeStart)
+	if got := info.Decisions[0].Kind; got != adapt.KindProbeStart {
+		t.Fatalf("first decision is %v, want %v", got, adapt.KindProbeStart)
 	}
-	if k := info.Decisions[1].Kind; k != amac.DecisionCalibrate && k != amac.DecisionSwitch {
+	if k := info.Decisions[1].Kind; k != adapt.KindCalibrate && k != adapt.KindSwitch {
 		t.Fatalf("second decision is %v, want a calibration outcome", k)
 	}
 	if got := ctl.Decisions(); len(got) != len(info.Decisions) {
@@ -70,7 +73,7 @@ func TestAdaptiveDecisionLogPublicAPI(t *testing.T) {
 	// Every log entry is mirrored into the trace as a decision instant.
 	instants := 0
 	for _, ev := range trace.Cores()[0].Events() {
-		if ev.Kind == amac.TraceDecision {
+		if ev.Kind == obs.KindDecision {
 			instants++
 		}
 	}
@@ -137,7 +140,7 @@ func TestServiceDecisionLogPublicAPI(t *testing.T) {
 		out.Sequential = true
 		specs[w] = amac.ServiceWorker[amac.ProbeState]{
 			Machine:  pj.ProbeMachine(w, out, true),
-			Arrivals: amac.Deterministic{Period: 400}.Schedule(pj.Parts[w].Probe.Len(), 0),
+			Arrivals: serve.Deterministic{Period: 400}.Schedule(pj.Parts[w].Probe.Len(), 0),
 		}
 	}
 	acfg := amac.AdaptiveConfig{SegmentLookups: 128, ProbeLookups: 32}
@@ -158,7 +161,7 @@ func TestServiceDecisionLogPublicAPI(t *testing.T) {
 		if len(wr.Adapt.Decisions) == 0 {
 			t.Fatalf("worker %d recorded no decisions", w)
 		}
-		if wr.Adapt.Decisions[0].Kind != amac.DecisionProbeStart {
+		if wr.Adapt.Decisions[0].Kind != adapt.KindProbeStart {
 			t.Fatalf("worker %d log opens with %v, want probe-start", w, wr.Adapt.Decisions[0].Kind)
 		}
 	}
@@ -185,7 +188,7 @@ func TestMetricsReusedAcrossServicesPublicAPI(t *testing.T) {
 			out.Sequential = true
 			specs[w] = amac.ServiceWorker[amac.ProbeState]{
 				Machine:  pj.ProbeMachine(w, out, true),
-				Arrivals: amac.Deterministic{Period: 400}.Schedule(pj.Parts[w].Probe.Len(), 0),
+				Arrivals: serve.Deterministic{Period: 400}.Schedule(pj.Parts[w].Probe.Len(), 0),
 			}
 		}
 		amac.RunService(amac.ServiceOptions{

@@ -9,10 +9,9 @@ import "amac/internal/obs"
 // allocates nothing — so instrumented code threads the pointers
 // unconditionally, and simulated results are byte-identical with the sinks
 // on or off. Attach a Trace/Metrics to one core with Sinks.Attach, to a
-// service through ServiceOptions, to an engine through Options.Trace, to a
-// pipeline or controller through Pipeline.SetTrace or
-// AdaptiveController.SetTrace, and to an experiment through
-// ExperimentConfig.Sinks.
+// service through ServiceOptions, to an engine through Options.Trace, and to
+// a pipeline or controller through Pipeline.SetTrace or
+// AdaptiveController.SetTrace.
 
 // Trace is the root event-trace sink: a registry of per-core ring-buffered
 // event sinks recording slot lifecycle, GP/SPP group boundaries, controller
@@ -26,36 +25,9 @@ type Trace = obs.Trace
 func NewTrace(perCoreEvents int) *Trace { return obs.NewTrace(perCoreEvents) }
 
 // CoreTrace is one core's event ring, handed out by Trace.Core and accepted
-// by Options.Trace and the SetTrace methods. All methods no-op on nil.
+// by Options.Trace and the SetTrace methods; Events reads its records back.
+// All methods no-op on nil.
 type CoreTrace = obs.CoreTrace
-
-// TraceEvent is one fixed-size trace record (simulated cycle, kind,
-// per-kind detail), readable back through CoreTrace.Events.
-type TraceEvent = obs.Event
-
-// TraceEventKind discriminates TraceEvent records.
-type TraceEventKind = obs.Kind
-
-// The trace event kinds (see the obs package for each record's field
-// interpretation).
-const (
-	TraceSlotStart    = obs.KindSlotStart
-	TraceSlotEnd      = obs.KindSlotEnd
-	TraceStage        = obs.KindStage
-	TraceRetry        = obs.KindRetry
-	TracePrefetch     = obs.KindPrefetch
-	TraceGroupStart   = obs.KindGroupStart
-	TraceGroupEnd     = obs.KindGroupEnd
-	TraceEngineSample = obs.KindEngineSample
-	TraceWidthChange  = obs.KindWidthChange
-	TraceDecision     = obs.KindDecision
-	TraceQueueAdmit   = obs.KindQueueAdmit
-	TraceQueueDrop    = obs.KindQueueDrop
-	TraceQueueBlock   = obs.KindQueueBlock
-	TraceQueueDepth   = obs.KindQueueDepth
-	TracePipeDepth    = obs.KindPipeDepth
-	TraceBackpressure = obs.KindBackpressure
-)
 
 // Metrics is the root metrics registry: named per-core gauges sampled every
 // Interval simulated cycles through the core's cycle hook and exported as
@@ -65,9 +37,6 @@ type Metrics = obs.Metrics
 // NewMetrics creates a metrics registry sampling every interval simulated
 // cycles (zero selects the 4096-cycle default).
 func NewMetrics(interval int) *Metrics { return obs.NewMetrics(interval) }
-
-// CoreMetrics is one core's gauge collection, handed out by Metrics.Core.
-type CoreMetrics = obs.CoreMetrics
 
 // Sinks is one run's set of sinks: Trace, Metrics and CycleProfile, each
 // nil when disabled. Sinks.Attach registers a core in every enabled sink,

@@ -1,30 +1,12 @@
 package amac
 
-import (
-	"amac/internal/exec"
-	"amac/internal/memsim"
-)
+import "amac/internal/exec"
 
-// This file exports the sharded multi-core execution layer: partition a
-// Machine's lookups across W workers, simulate every worker in full on a
-// private Core (each on its own goroutine), and merge the per-worker stats —
-// elapsed cycles are the slowest worker's, event counters are summed. See
-// the scaleN experiment for the end-to-end recipe on a partitioned hash
-// join.
-
-// ShardRange is the half-open range of lookup indices [Lo, Lo+N) assigned to
-// one worker.
-type ShardRange = exec.ShardRange
-
-// SplitLookups partitions n lookups across workers as evenly as possible.
-func SplitLookups(n, workers int) []ShardRange { return exec.SplitLookups(n, workers) }
-
-// Shard views lookups [Lo, Lo+N) of an underlying machine as a standalone
-// machine with local indices, so any engine can run one worker's share of
-// the work. Sharding is safe when workers only read shared structures and
-// write worker-private outputs; mutating operators need partitioned
-// workloads (PartitionJoin) instead.
-type Shard[S any] = exec.Shard[S]
+// This file exports the sharded multi-core execution layer: each worker
+// simulates its share of the lookups in full on a private Core (each on its
+// own goroutine), and the per-worker stats merge into one report — elapsed
+// cycles are the slowest worker's, event counters are summed. See the scaleN
+// experiment for the end-to-end recipe on a partitioned hash join.
 
 // ParallelStats is the merged outcome of one RunParallel invocation.
 type ParallelStats = exec.ParallelStats
@@ -37,8 +19,3 @@ type ParallelStats = exec.ParallelStats
 func RunParallel(cores []*Core, body func(worker int, c *Core)) ParallelStats {
 	return exec.RunParallel(cores, body)
 }
-
-// MergeStats combines stats from workers that simulated concurrently:
-// Cycles is the slowest worker's elapsed count, every other counter is
-// summed.
-func MergeStats(perWorker []Stats) Stats { return memsim.MergeParallel(perWorker) }

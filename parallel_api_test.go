@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"amac"
+	"amac/internal/core"
+	"amac/internal/exec"
+	"amac/internal/memsim"
+	"amac/internal/ops"
 )
 
 // TestParallelPublicAPIEndToEnd drives the exported sharded execution layer
@@ -45,7 +49,7 @@ func TestParallelPublicAPIEndToEnd(t *testing.T) {
 	if count != wantCount || sum != wantSum {
 		t.Fatalf("merged output (%d, %#x) differs from reference (%d, %#x)", count, sum, wantCount, wantSum)
 	}
-	sched := amac.MergeRunStats(runStats)
+	sched := core.MergeRunStats(runStats)
 	if sched.Initiated != probe.Len() || sched.Completed != probe.Len() {
 		t.Fatalf("merged scheduling stats cover %d/%d lookups, want %d", sched.Initiated, sched.Completed, probe.Len())
 	}
@@ -63,8 +67,8 @@ func TestParallelPublicAPIEndToEnd(t *testing.T) {
 	if ps.ElapsedCycles() != maxCycles || ps.Merged.Instructions != sumInstr {
 		t.Fatalf("merge semantics violated: %+v", ps.Merged)
 	}
-	if merged := amac.MergeStats(ps.PerWorker); merged != ps.Merged {
-		t.Fatal("MergeStats disagrees with RunParallel's merge")
+	if merged := memsim.MergeParallel(ps.PerWorker); merged != ps.Merged {
+		t.Fatal("MergeParallel disagrees with RunParallel's merge")
 	}
 }
 
@@ -82,15 +86,15 @@ func TestShardPublicAPI(t *testing.T) {
 	amac.Run(amac.MustSystem(amac.XeonX5670()).NewCore(), w.SearchMachine(seqOut), amac.Options{Width: 8})
 
 	const workers = 3
-	shards := amac.SplitLookups(probe.Len(), workers)
 	cores := make([]*amac.Core, workers)
 	outs := make([]*amac.Output, workers)
-	machines := make([]amac.Shard[amac.BSTState], workers)
+	machines := make([]exec.Shard[ops.BSTState], workers)
 	for i := 0; i < workers; i++ {
 		cores[i] = amac.MustSystem(amac.XeonX5670().ShareLLC(workers)).NewCore()
 		outs[i] = amac.NewOutput(amac.NewArena(), false)
 		outs[i].Sequential = true
-		machines[i] = amac.Shard[amac.BSTState]{M: w.SearchMachine(outs[i]), Lo: shards[i].Lo, N: shards[i].N}
+		lo, hi := i*probe.Len()/workers, (i+1)*probe.Len()/workers
+		machines[i] = exec.Shard[ops.BSTState]{M: w.SearchMachine(outs[i]), Lo: lo, N: hi - lo}
 	}
 	amac.RunParallel(cores, func(i int, c *amac.Core) {
 		amac.Run(c, machines[i], amac.Options{Width: 8})

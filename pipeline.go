@@ -38,13 +38,6 @@ func NewHashTable(a *Arena, expectedTuples int) *HashTable {
 	return ht.New(a, nb)
 }
 
-// AggTable is the group-by aggregation table an Aggregate sink folds into.
-type AggTable = ht.AggTable
-
-// NewAggTable creates an aggregation table sized for the expected number of
-// distinct groups.
-func NewAggTable(a *Arena, expectedGroups int) *AggTable { return ht.NewAgg(a, expectedGroups) }
-
 // BST is the binary search tree a BSTFilter stage walks.
 type BST = bst.Tree
 
@@ -71,10 +64,8 @@ func NewPipeline(a *Arena) *PipelineBuilder { return pipeline.NewBuilder(a) }
 // window (GP/SPP group size or AMAC starting width; zero = engine default).
 type StageConfig = pipeline.StageConfig
 
-// KeySel says which field of the upstream row a downstream stage looks up.
-type KeySel = pipeline.KeySel
-
-// The key selectors.
+// The key selectors: which field of the upstream row a downstream stage
+// looks up.
 const (
 	// SelKey probes with the upstream row's join key.
 	SelKey = pipeline.SelKey
@@ -90,29 +81,10 @@ const (
 // per-stage assignment or RunAdaptive with one AdaptiveController per stage.
 type Pipeline = pipeline.Pipeline
 
-// PipelineResult reports a pipeline run, one StageReport per stage.
+// PipelineResult reports a pipeline run, one report per stage: engine in
+// force, rows in and out, AMAC scheduler stats.
 type PipelineResult = pipeline.Result
-
-// StageReport is one stage's outcome: engine in force, rows in/out, AMAC
-// scheduler stats.
-type StageReport = pipeline.StageReport
 
 // PlanChoice is the mini-planner's output: one engine assignment per stage
 // plus what the planning itself cost in simulated cycles.
 type PlanChoice = pipeline.PlanChoice
-
-// PipelineServingSpec configures a serving pipeline: open-loop arrivals into
-// the root stage's bounded admission queue, end-to-end admission→completion
-// latency recorded at the sink.
-type PipelineServingSpec = pipeline.ServingSpec
-
-// ServePipelines runs one pre-built serving pipeline per worker, each on a
-// private core of a shared-LLC socket model, concurrently on real goroutines
-// and deterministically. Each worker's pipeline must live entirely in its own
-// arena (the private-copy sharing model of PartitionJoin).
-func ServePipelines(hw Hardware, pipes []*Pipeline,
-	prepare func(worker int, c *Core),
-	body func(worker int, c *Core, p *Pipeline),
-) ParallelStats {
-	return pipeline.ServeParallel(hw, pipes, prepare, body)
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"amac"
+	"amac/internal/prof"
 )
 
 // TestCycleProfilePublicAPI drives a profiled run end to end through the
@@ -32,7 +33,7 @@ func TestCycleProfilePublicAPI(t *testing.T) {
 		t.Fatalf("breakdown sums to %d cycles, core counted %d", got, cycles)
 	}
 	var catSum uint64
-	for _, cat := range amac.CycleCategories {
+	for _, cat := range prof.Cats {
 		catSum += b.Cats[cat]
 	}
 	if catSum != cycles {

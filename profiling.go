@@ -13,8 +13,8 @@ import "amac/internal/prof"
 // a nil receiver is a single-branch no-op that allocates nothing, so
 // instrumented code threads the pointers unconditionally and a profiled run
 // is byte-identical to an unprofiled one. Attach through Sinks.Attach,
-// Core.SetProfiler, ServiceOptions.Profile or ExperimentConfig.Sinks; export
-// with WriteFolded (flamegraph.pl/speedscope) or WritePprof (go tool pprof).
+// Core.SetProfiler or ServiceOptions.Profile; export with WriteFolded
+// (flamegraph.pl/speedscope) or WritePprof (go tool pprof).
 
 // CycleProfile is the root profiler registry: named per-core cycle
 // attributions, registered through Core and aggregated with Merged. nil
@@ -24,20 +24,8 @@ type CycleProfile = prof.Profile
 // NewCycleProfile creates an empty profiler registry.
 func NewCycleProfile() *CycleProfile { return prof.NewProfile() }
 
-// CoreCycleProfile is one simulated core's cycle attribution, handed out by
-// CycleProfile.Core and accepted by Core.SetProfiler. All methods no-op on
-// nil.
-type CoreCycleProfile = prof.CoreProf
-
-// NewCoreCycleProfile creates a standalone per-core profiler. Most callers
-// obtain one through CycleProfile.Core instead.
-func NewCoreCycleProfile(name string) *CoreCycleProfile { return prof.NewCoreProf(name) }
-
-// CycleCategory is a cycle-attribution category; every simulated cycle is
+// The attribution categories, in charge order: every simulated cycle is
 // charged to exactly one.
-type CycleCategory = prof.Cat
-
-// The attribution categories, in charge order.
 const (
 	CycleCompute  = prof.CatCompute
 	CycleL1       = prof.CatL1
@@ -48,15 +36,3 @@ const (
 	CycleMSHRFull = prof.CatMSHRFull
 	CycleIdle     = prof.CatIdle
 )
-
-// CycleCategories lists every attribution category in charge order.
-var CycleCategories = prof.Cats
-
-// CycleBreakdown is a per-core attribution summary: per-category totals,
-// hidden versus exposed fill latency, and the achieved memory-level
-// parallelism they imply.
-type CycleBreakdown = prof.Breakdown
-
-// ProfileFrame is an interned context label for CoreCycleProfile.Push,
-// obtained from CoreCycleProfile.Frame.
-type ProfileFrame = prof.Frame

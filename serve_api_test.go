@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"amac"
+	"amac/internal/core"
+	"amac/internal/serve"
 )
 
-// TestServePublicAPIEndToEnd drives the exported streaming layer the way a
-// library user would: generate an arrival schedule, feed a probe machine
-// through a queue-fed source into streaming AMAC, and verify the join
-// output matches the batch reference while the recorder accounts every
-// request.
+// TestServePublicAPIEndToEnd drives one shard of the streaming layer:
+// generate an arrival schedule, feed an exported probe machine through a
+// queue-fed source (serve.NewQueueSource) into streaming AMAC
+// (core.RunStream), and verify the join output matches the batch reference
+// while the recorder accounts every request.
 func TestServePublicAPIEndToEnd(t *testing.T) {
 	build, probe, err := amac.BuildJoin(amac.JoinSpec{BuildSize: 1 << 10, ProbeSize: 1 << 10, ZipfBuild: 0.5, Seed: 3})
 	if err != nil {
@@ -27,9 +29,9 @@ func TestServePublicAPIEndToEnd(t *testing.T) {
 	arrivals := proc.Schedule(probe.Len(), 5)
 
 	out := amac.NewOutput(join.Arena, false)
-	src := amac.NewQueueSource(join.ProbeMachine(out, false), arrivals, 0, amac.QueueBlock, nil)
+	src := serve.NewQueueSource(join.ProbeMachine(out, false), arrivals, 0, amac.QueueBlock, nil)
 	c := amac.MustSystem(amac.XeonX5670()).NewCore()
-	stats := amac.RunStream(c, src, amac.Options{Width: 10})
+	stats := core.RunStream(c, src, amac.Options{Width: 10})
 
 	if out.Count != wantCount || out.Checksum != wantSum {
 		t.Fatalf("streamed output (%d, %#x) differs from reference (%d, %#x)", out.Count, out.Checksum, wantCount, wantSum)
@@ -70,7 +72,7 @@ func TestServiceTechniquesPublicAPI(t *testing.T) {
 			outs[w].Sequential = true
 			specs[w] = amac.ServiceWorker[amac.ProbeState]{
 				Machine:  pj.ProbeMachine(w, outs[w], true),
-				Arrivals: amac.Deterministic{Period: 500}.Schedule(pj.Parts[w].Probe.Len(), 0),
+				Arrivals: serve.Deterministic{Period: 500}.Schedule(pj.Parts[w].Probe.Len(), 0),
 			}
 		}
 		res := amac.RunService(amac.ServiceOptions{

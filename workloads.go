@@ -61,12 +61,6 @@ type HashJoin = ops.HashJoin
 // (two tuples per bucket header).
 func NewHashJoin(build, probe *Relation) *HashJoin { return ops.NewHashJoin(build, probe) }
 
-// NewHashJoinWithBuckets materializes a join workload with an explicit
-// bucket count.
-func NewHashJoinWithBuckets(build, probe *Relation, buckets int) *HashJoin {
-	return ops.NewHashJoinWithBuckets(build, probe, buckets)
-}
-
 // PartitionedHashJoin is a hash join split into independent per-worker
 // workloads (private arena, table and relations each) so the parallel
 // execution layer's workers never share a table. Probe machines created
@@ -115,39 +109,16 @@ type Output = ops.Output
 // and checksum.
 func NewOutput(a *Arena, keep bool) *Output { return ops.NewOutput(a, keep) }
 
-// JoinRow is one materialized join or index-lookup result.
-type JoinRow = ops.JoinRow
-
-// Machines (implementations of Machine) for the paper's operators.
-type (
-	// ProbeMachine is the hash join probe operator.
-	ProbeMachine = ops.ProbeMachine
-	// BuildMachine is the hash join build operator.
-	BuildMachine = ops.BuildMachine
-	// GroupByMachine is the group-by operator with immediate aggregation.
-	GroupByMachine = ops.GroupByMachine
-	// BSTSearchMachine is the binary-search-tree search operator.
-	BSTSearchMachine = ops.BSTSearchMachine
-	// SkipListSearchMachine is the skip list search operator.
-	SkipListSearchMachine = ops.SkipListSearchMachine
-	// SkipListInsertMachine is the skip list insert operator.
-	SkipListInsertMachine = ops.SkipListInsertMachine
-)
+// ProbeMachine is the hash join probe operator, an implementation of
+// Machine.
+type ProbeMachine = ops.ProbeMachine
 
 // Per-lookup state types of the built-in machines, exported so the generic
-// entry points (Run, Shard) can be instantiated explicitly, e.g.
-// Shard[ProbeState]{...}.
+// entry points can be instantiated explicitly, e.g.
+// ServiceWorker[ProbeState]{...}.
 type (
 	// ProbeState is ProbeMachine's per-lookup state.
 	ProbeState = ops.ProbeState
-	// BuildState is BuildMachine's per-lookup state.
-	BuildState = ops.BuildState
-	// GroupByState is GroupByMachine's per-lookup state.
+	// GroupByState is the group-by machine's per-lookup state.
 	GroupByState = ops.GroupByState
-	// BSTState is BSTSearchMachine's per-lookup state.
-	BSTState = ops.BSTState
-	// SkipListSearchState is SkipListSearchMachine's per-lookup state.
-	SkipListSearchState = ops.SkipListSearchState
-	// SkipListInsertState is SkipListInsertMachine's per-lookup state.
-	SkipListInsertState = ops.SkipListInsertState
 )
