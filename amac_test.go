@@ -35,6 +35,21 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNewSystemRejectsTooManyMSHRs checks that the public constructor
+// returns Validate's error for an MSHR count past the file's 64-slot bound,
+// and accepts the bound itself.
+func TestNewSystemRejectsTooManyMSHRs(t *testing.T) {
+	h := amac.XeonX5670()
+	h.L1MSHRs = 64
+	if _, err := amac.NewSystem(h); err != nil {
+		t.Fatalf("64 MSHRs rejected: %v", err)
+	}
+	h.L1MSHRs = 65
+	if sys, err := amac.NewSystem(h); err == nil || sys != nil {
+		t.Fatalf("65 MSHRs: NewSystem = %v, %v; want nil and an error", sys, err)
+	}
+}
+
 // TestDirectEngineEntryPoints drives AMAC and Baseline through their
 // dedicated functions and GP and SPP through RunWith.
 func TestDirectEngineEntryPoints(t *testing.T) {

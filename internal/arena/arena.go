@@ -122,11 +122,6 @@ func (a *Arena) reserve(end uint64) {
 	a.top = end
 }
 
-// allocLines reserves n whole cache lines (64-byte aligned).
-func (a *Arena) allocLines(n int) Addr {
-	return a.Alloc(n*memsim.LineSize, memsim.LineSize)
-}
-
 // AllocSpan reserves size bytes of contiguous, cache-line-aligned address
 // space, spanning as many chunks as needed, and reserving all of them in one
 // pass. It is used for large arrays (bucket directories, materialized
@@ -212,22 +207,6 @@ func (a *Arena) WriteU64(addr Addr, v uint64) {
 	binary.LittleEndian.PutUint64(a.slice(addr, 8), v)
 }
 
-// readI64 reads a signed 64-bit value.
-func (a *Arena) readI64(addr Addr) int64 { return int64(a.ReadU64(addr)) }
-
-// writeI64 writes a signed 64-bit value.
-func (a *Arena) writeI64(addr Addr, v int64) { a.WriteU64(addr, uint64(v)) }
-
-// readU32 reads a little-endian 32-bit value.
-func (a *Arena) readU32(addr Addr) uint32 {
-	return binary.LittleEndian.Uint32(a.slice(addr, 4))
-}
-
-// writeU32 writes a little-endian 32-bit value.
-func (a *Arena) writeU32(addr Addr, v uint32) {
-	binary.LittleEndian.PutUint32(a.slice(addr, 4), v)
-}
-
 // ReadU8 reads a single byte.
 func (a *Arena) ReadU8(addr Addr) uint8 { return a.slice(addr, 1)[0] }
 
@@ -255,17 +234,4 @@ func (a *Arena) Bytes(addr Addr, size int) []byte {
 // per chunk with it, instead of one Bytes call per element.
 func (a *Arena) BytesInChunk(addr Addr, size uint64) []byte {
 	return a.slice(addr, int(min(size, a.chunkBytes-uint64(addr)&a.chunkMask)))
-}
-
-// readBytes copies size bytes starting at addr into a new slice. Prefer
-// Bytes on hot paths; ReadBytes allocates its result.
-func (a *Arena) readBytes(addr Addr, size int) []byte {
-	out := make([]byte, size)
-	copy(out, a.slice(addr, size))
-	return out
-}
-
-// writeBytes copies b into the arena starting at addr.
-func (a *Arena) writeBytes(addr Addr, b []byte) {
-	copy(a.slice(addr, len(b)), b)
 }

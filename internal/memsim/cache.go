@@ -13,12 +13,12 @@ import "math/bits"
 //
 //   - Each set is ways contiguous uint32 tags (lineNumber+1, 0 = empty)
 //     kept in recency order: most recently used first, empty ways always at
-//     the tail. A hit moves its tag to the front, an insert shifts the set
-//     down one way (the tail, if valid, is the LRU victim), and a scan stops
-//     at the first empty way. Recency order is the whole LRU state, so there
-//     are no use stamps to store, compare or renormalize, and re-touched
-//     lines — the common case — are found at way 0. A 16-way set is one
-//     64-byte host cache line.
+//     the tail. A hit moves its tag to the front, an insert shifts the ways
+//     down one as it scans (a tag carried past the tail is the LRU victim),
+//     and every scan stops at the first empty way. Recency order is the
+//     whole LRU state, so there are no use stamps to store, compare or
+//     renormalize, and re-touched lines — the common case — are found at
+//     way 0. A 16-way set is one 64-byte host cache line.
 //   - The set-index computation avoids the hardware divide: power-of-two
 //     set counts use a mask and others (the Xeon L3 has 12288 sets) a
 //     Lemire fast-mod double multiply. Both produce exactly line % sets.
@@ -118,9 +118,11 @@ func (c *Cache) set(line uint64) []uint32 {
 }
 
 // promote moves the tag at way w to the front of set, shifting the more
-// recently used ways down by one.
+// recently used ways down by one, backward from w without a memmove call.
 func promote(set []uint32, w int, tag uint32) {
-	copy(set[1:w+1], set[:w])
+	for ; w > 0; w-- {
+		set[w] = set[w-1]
+	}
 	set[0] = tag
 }
 
@@ -249,23 +251,22 @@ func (c *Cache) Insert(line uint64) (evicted uint64, ok bool) {
 	return c.insertInto(c.set(line), tagOf(line))
 }
 
-// insertInto is Insert with the set already resolved. One scan stops at the
-// tag itself (a refresh), the first empty way (a fill) or the tail (an
-// eviction when the tail holds another line); in all three cases the ways
-// above the stop shift down one and tag goes to the front.
+// insertInto is Insert with the set already resolved. It shifts while it
+// scans: each way takes the carried tag (tag itself at way 0) and passes its
+// old tag on, up to the tag itself (a refresh) or the first empty way (a
+// fill); a tag still carried past the tail is the evicted LRU line.
 func (c *Cache) insertInto(set []uint32, tag uint32) (evicted uint64, ok bool) {
-	w := 0
-	for w < len(set)-1 && set[w] != tag && set[w] != 0 {
-		w++
-	}
-	old := set[w]
-	promote(set, w, tag)
 	c.dirty = true
-	if old == tag || old == 0 {
-		return 0, false
+	carry := tag
+	for w, t := range set {
+		set[w] = carry
+		if t == tag || t == 0 {
+			return 0, false
+		}
+		carry = t
 	}
 	c.evictions++
-	return uint64(old) - 1, true
+	return uint64(carry) - 1, true
 }
 
 // InsertSpan inserts n consecutive lines starting at first, exactly as n

@@ -94,6 +94,7 @@ type Config struct {
 	// L1MSHRs is the number of L1-D miss-status-handling registers per
 	// core: the maximum number of outstanding L1-D misses, and therefore
 	// the per-core ceiling on memory-level parallelism (10 on Nehalem).
+	// At most 64: the MSHR file keeps its slot sets in one 64-bit word.
 	L1MSHRs int
 
 	// LLCQueueEntries is the capacity of the shared off-chip load queue
@@ -148,6 +149,9 @@ func (c *Config) Validate() error {
 	}
 	if c.L1MSHRs <= 0 {
 		return errors.New("memsim: need at least one L1 MSHR")
+	}
+	if c.L1MSHRs > maxMSHRs {
+		return fmt.Errorf("memsim: at most %d L1 MSHRs, got %d", maxMSHRs, c.L1MSHRs)
 	}
 	if c.LLCQueueEntries <= 0 {
 		return errors.New("memsim: LLC queue must have at least one entry")

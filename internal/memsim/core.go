@@ -440,7 +440,7 @@ func (c *Core) fill(line uint64) {
 // guard is duplicated from Drain so the no-op case — nothing outstanding, or
 // nothing due yet — inlines into every demand access without a call.
 func (c *Core) drainMSHRs() {
-	if c.mshr.outstanding == 0 || c.cycle < c.mshr.minReady {
+	if c.cycle < c.mshr.minReady {
 		return
 	}
 	c.mshr.Drain(c.cycle, c.fill)
@@ -522,17 +522,18 @@ func (c *Core) demandLine(line uint64) {
 	// is attributed to the in-flight fill's level, and the visible part is
 	// latency the prefetch failed to hide — Expose claws it back from the
 	// Hide the prefetch recorded at allocation.
-	if e := c.mshr.Lookup(line); e != nil {
+	if i := c.mshr.Lookup(line); i >= 0 {
 		c.stats.MSHRHits++
-		if e.ready > c.cycle {
-			wait := e.ready - c.cycle
+		if ready := c.mshr.ready[i]; ready > c.cycle {
+			wait := ready - c.cycle
 			c.stats.MSHRHitWaitCycles += wait
 			visible := c.hidden(wait)
-			c.advance(visible, e.cat)
-			c.prof.Expose(e.cat, visible)
+			cat := c.mshr.cat[i]
+			c.advance(visible, cat)
+			c.prof.Expose(cat, visible)
 			// The data has now (logically) arrived even if hiding
 			// shortened the visible stall.
-			c.mshr.Expedite(e, c.cycle)
+			c.mshr.Expedite(i, c.cycle)
 		}
 		c.drainMSHRs()
 		if !c.l1.Contains(line) {
@@ -597,7 +598,7 @@ func (c *Core) Prefetch(a Addr) {
 	c.drainMSHRs()
 
 	line := Line(a)
-	if c.l1.Contains(line) || c.mshr.Lookup(line) != nil {
+	if c.l1.Contains(line) || c.mshr.Lookup(line) >= 0 {
 		c.stats.PrefetchDropped++
 		return
 	}

@@ -289,6 +289,7 @@ func TestConfigValidate(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.IssueWidth = 0 },
 		func(c *Config) { c.L1MSHRs = 0 },
+		func(c *Config) { c.L1MSHRs = maxMSHRs + 1 },
 		func(c *Config) { c.LLCQueueEntries = 0 },
 		func(c *Config) { c.TLB.Entries = 0 },
 		func(c *Config) { c.TLB.PageBytes = 3000 },

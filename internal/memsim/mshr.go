@@ -1,174 +1,166 @@
 package memsim
 
-import "amac/internal/prof"
+import (
+	"math/bits"
 
-// mshrEntry tracks one outstanding L1-D miss.
-type mshrEntry struct {
-	line    uint64
-	ready   uint64   // cycle at which the fill arrives
-	cat     prof.Cat // attribution category of the fill level (CatDRAM = off-chip)
-	offchip bool     // true if the fill comes from memory (occupies the LLC queue)
-	valid   bool
-}
+	"amac/internal/prof"
+)
+
+// maxMSHRs is the largest file NewMSHRFile builds: the occupancy and
+// off-chip sets are one 64-bit mask each.
+const maxMSHRs = 64
 
 // MSHRFile models the per-core L1-D miss status handling registers. Every
-// miss that is outstanding (issued but not yet filled) occupies one entry;
-// when all entries are busy no further miss — demand or prefetch — can be
+// miss that is outstanding (issued but not yet filled) occupies one slot;
+// when all slots are busy no further miss — demand or prefetch — can be
 // issued, which is exactly the mechanism that caps per-core MLP in the paper.
 //
 // The file is consulted on every simulated access (Drain runs at the top of
-// every demand load), so it keeps running counters — outstanding entries,
-// outstanding off-chip entries, and the earliest ready cycle — that let the
-// common cases (file empty, no fill due yet) exit without scanning.
+// every demand load, Lookup on every L1 miss and prefetch), so it is laid
+// out as parallel arrays indexed by slot, with the slot sets as bit masks:
+//
+//   - used and offchip mark the occupied slots and those whose fill comes
+//     from memory; Allocate takes the lowest free bit, and the counts are
+//     popcounts.
+//   - A free slot's ready is ^0, so Drain finds the due slots and the new
+//     earliest ready cycle in one pass over ready, with no occupancy test.
+//   - filter has one bit per line hash (line & 63) held by some occupied
+//     slot, and filterN counts the slots behind each bit so Drain can clear
+//     it. Lookup of a line whose bit is clear answers without a slot walk.
+//   - minReady is the earliest ready cycle over all slots, so ^0 when the
+//     file is empty: the empty and nothing-due-yet cases of Drain are one
+//     compare.
 type MSHRFile struct {
-	entries []mshrEntry
-
-	outstanding int
-	offchip     int
-	// minReady is the smallest ready cycle among valid entries; meaningful
-	// only when outstanding > 0. Allocate and Expedite lower it, Drain
-	// recomputes it, so it is always exact, never just a bound.
+	n        int
+	used     uint64
+	offchip  uint64
 	minReady uint64
+	filter   uint64
 
-	// memoLine/memoIdx map a line's low bits to the entry tracking it, so
-	// the prefetch-then-demand pattern resolves its MSHR hit in one compare.
-	// Lines are unique in the file (Allocate only runs after a Lookup miss),
-	// and entries are validated before use, so a drained or reused entry
-	// simply misses the memo.
-	memoLine [mshrMemoEntries]uint64
-	memoIdx  [mshrMemoEntries]int
+	lines   [maxMSHRs]uint64
+	ready   [maxMSHRs]uint64 // cycle at which the fill arrives; ^0 when free
+	cat     [maxMSHRs]prof.Cat
+	filterN [maxMSHRs]uint8
 }
 
-// mshrMemoEntries is the lookup memo size (a power of two).
-const mshrMemoEntries = 8
-
-// NewMSHRFile returns a file with n entries.
+// NewMSHRFile returns a file with n slots, 1 <= n <= 64 (Config.Validate
+// bounds L1MSHRs).
 func NewMSHRFile(n int) *MSHRFile {
-	return &MSHRFile{entries: make([]mshrEntry, n)}
+	m := &MSHRFile{n: n}
+	m.Reset()
+	return m
 }
 
 // Size returns the number of registers.
-func (m *MSHRFile) Size() int { return len(m.entries) }
+func (m *MSHRFile) Size() int { return m.n }
 
-// Lookup returns the entry tracking line, or nil.
-func (m *MSHRFile) Lookup(line uint64) *mshrEntry {
-	if m.outstanding == 0 {
-		return nil
+// Lookup returns the slot tracking line, or -1.
+func (m *MSHRFile) Lookup(line uint64) int {
+	if m.filter&(1<<(line&63)) == 0 {
+		return -1
 	}
-	if s := line & (mshrMemoEntries - 1); m.memoLine[s] == line {
-		if e := &m.entries[m.memoIdx[s]]; e.valid && e.line == line {
-			return e
+	for b := m.used; b != 0; b &= b - 1 {
+		if i := bits.TrailingZeros64(b) & 63; m.lines[i] == line {
+			return i
 		}
 	}
-	for i := range m.entries {
-		if m.entries[i].valid && m.entries[i].line == line {
-			s := line & (mshrMemoEntries - 1)
-			m.memoLine[s] = line
-			m.memoIdx[s] = i
-			return &m.entries[i]
-		}
-	}
-	return nil
+	return -1
 }
 
-// Expedite lowers an outstanding entry's ready cycle: the demand access that
-// hit the entry observed the data (logically) arrive early once out-of-order
-// hiding shortened the visible stall. Entries must only be re-timed through
-// this method so the earliest-ready bound stays exact.
-func (m *MSHRFile) Expedite(e *mshrEntry, ready uint64) {
-	e.ready = ready
-	if ready < m.minReady {
-		m.minReady = ready
-	}
+// Expedite lowers slot i's ready cycle: the demand access that hit the slot
+// observed the data (logically) arrive early once out-of-order hiding
+// shortened the visible stall. Slots must only be re-timed through this
+// method so minReady stays exact.
+func (m *MSHRFile) Expedite(i int, ready uint64) {
+	m.ready[i] = ready
+	m.minReady = min(m.minReady, ready)
 }
 
-// Allocate records a new outstanding miss whose fill comes from the level
-// src identifies (prof.CatDRAM marks an off-chip fill, which occupies the
-// shared LLC queue). It returns false if every entry is busy; the caller
-// must stall until EarliestReady and drain before retrying.
+// Allocate records a new outstanding miss in the lowest free slot, whose
+// fill comes from the level src identifies (prof.CatDRAM marks an off-chip
+// fill, which occupies the shared LLC queue). It returns false if every slot
+// is busy; the caller must stall until EarliestReady and drain before
+// retrying. line must not already be outstanding (Allocate follows a Lookup
+// miss).
 func (m *MSHRFile) Allocate(line, ready uint64, src prof.Cat) bool {
-	offchip := src == prof.CatDRAM
-	for i := range m.entries {
-		if !m.entries[i].valid {
-			m.entries[i] = mshrEntry{line: line, ready: ready, cat: src, offchip: offchip, valid: true}
-			if m.outstanding == 0 || ready < m.minReady {
-				m.minReady = ready
-			}
-			m.outstanding++
-			if offchip {
-				m.offchip++
-			}
-			s := line & (mshrMemoEntries - 1)
-			m.memoLine[s] = line
-			m.memoIdx[s] = i
-			return true
-		}
+	free := ^m.used & (1<<m.n - 1)
+	if free == 0 {
+		return false
 	}
-	return false
+	i := bits.TrailingZeros64(free)
+	m.used |= 1 << i
+	if src == prof.CatDRAM {
+		m.offchip |= 1 << i
+	}
+	m.lines[i], m.ready[i], m.cat[i] = line, ready, src
+	m.minReady = min(m.minReady, ready)
+	h := line & 63
+	m.filter |= 1 << h
+	m.filterN[h]++
+	return true
 }
 
 // Full reports whether every register is occupied.
-func (m *MSHRFile) Full() bool { return m.outstanding == len(m.entries) }
+func (m *MSHRFile) Full() bool { return m.used == 1<<m.n-1 }
 
 // Outstanding returns the number of misses currently in flight.
-func (m *MSHRFile) Outstanding() int { return m.outstanding }
+func (m *MSHRFile) Outstanding() int { return bits.OnesCount64(m.used) }
 
 // OutstandingOffchip returns the number of occupied registers whose fills
 // come from off-chip memory. The Fabric uses this to model contention for the
 // shared LLC queue.
-func (m *MSHRFile) OutstandingOffchip() int { return m.offchip }
+func (m *MSHRFile) OutstandingOffchip() int { return bits.OnesCount64(m.offchip) }
 
-// EarliestReady returns the smallest ready cycle among occupied entries and
+// EarliestReady returns the smallest ready cycle among occupied slots and
 // true, or 0 and false if the file is empty.
 func (m *MSHRFile) EarliestReady() (uint64, bool) {
-	if m.outstanding == 0 {
+	if m.used == 0 {
 		return 0, false
 	}
 	return m.minReady, true
 }
 
-// Drain removes every entry whose fill has arrived by cycle now and invokes
-// fill for each completed line, in entry order (fill order determines LRU
-// stamps downstream, so it must stay stable). The empty and nothing-due-yet
-// cases exit without touching the entries.
+// Drain frees every slot whose fill has arrived by cycle now and invokes
+// fill for each completed line in ascending slot order (fill order
+// determines LRU order downstream, so it must stay stable). One pass over
+// ready collects the due slots and the new minReady; the fills follow.
 func (m *MSHRFile) Drain(now uint64, fill func(line uint64)) {
-	if m.outstanding == 0 || now < m.minReady {
+	if now < m.minReady {
 		return
 	}
+	var due uint64
 	next := ^uint64(0)
-	for i := range m.entries {
-		if !m.entries[i].valid {
-			continue
-		}
-		if m.entries[i].ready <= now {
-			line := m.entries[i].line
-			if m.entries[i].offchip {
-				m.offchip--
-			}
-			m.outstanding--
-			m.entries[i] = mshrEntry{}
-			if fill != nil {
-				fill(line)
-			}
-			continue
-		}
-		if m.entries[i].ready < next {
-			next = m.entries[i].ready
+	for i, r := range m.ready[:m.n] {
+		if r <= now {
+			due |= 1 << i
+		} else {
+			next = min(next, r)
 		}
 	}
+	due &= m.used
 	m.minReady = next
+	m.used &^= due
+	m.offchip &^= due
+	for ; due != 0; due &= due - 1 {
+		i := bits.TrailingZeros64(due) & 63
+		m.ready[i] = ^uint64(0)
+		line := m.lines[i]
+		h := line & 63
+		if m.filterN[h]--; m.filterN[h] == 0 {
+			m.filter &^= 1 << h
+		}
+		if fill != nil {
+			fill(line)
+		}
+	}
 }
 
-// Reset clears all entries.
+// Reset frees every slot.
 func (m *MSHRFile) Reset() {
-	for i := range m.entries {
-		m.entries[i] = mshrEntry{}
+	m.used, m.offchip, m.filter = 0, 0, 0
+	m.minReady = ^uint64(0)
+	for i := range m.ready[:m.n] {
+		m.ready[i] = ^uint64(0)
 	}
-	m.outstanding = 0
-	m.offchip = 0
-	m.minReady = 0
-	for i := range m.memoLine {
-		m.memoLine[i] = 0
-		m.memoIdx[i] = 0
-	}
+	clear(m.filterN[:])
 }
